@@ -487,8 +487,8 @@ fn parse_seconds(p: &Parsed, flag: &str) -> Result<Option<std::time::Duration>, 
 
 /// `ecad cluster worker`: serves genome-evaluation jobs to a remote
 /// coordinator until a `kill_all` arrives or the process receives
-/// SIGINT/SIGTERM. One session at a time, matching the coordinator's
-/// one-job-per-connection dispatch.
+/// SIGINT/SIGTERM. One session at a time: a coordinator holds one
+/// persistent session per worker and sends its jobs over it one by one.
 fn cmd_cluster_worker(p: &Parsed) -> Result<String, CliError> {
     p.check_allowed(&[
         "listen",

@@ -37,6 +37,7 @@ use std::time::Instant;
 use rt::json::{Json, ToJson};
 use rt::obs::Obs;
 
+use crate::checkpoint::Counters;
 use crate::engine::Evaluated;
 use crate::genome::{CandidateGenome, HwGenome};
 use crate::pareto::dominates;
@@ -708,11 +709,7 @@ struct StatusInner {
     done: bool,
     snapshot: Option<PopulationSnapshot>,
     models_evaluated: usize,
-    cache_hits: usize,
-    infeasible: usize,
-    retries: usize,
-    timeouts: usize,
-    respawns: usize,
+    counters: Counters,
     last_checkpoint: Option<Instant>,
 }
 
@@ -745,22 +742,10 @@ impl StatusCell {
     }
 
     /// Publishes the engine's running counters.
-    pub fn note_counters(
-        &self,
-        models_evaluated: usize,
-        cache_hits: usize,
-        infeasible: usize,
-        retries: usize,
-        timeouts: usize,
-        respawns: usize,
-    ) {
+    pub fn note_counters(&self, models_evaluated: usize, counters: &Counters) {
         let mut s = self.inner.lock().expect("status cell");
         s.models_evaluated = models_evaluated;
-        s.cache_hits = cache_hits;
-        s.infeasible = infeasible;
-        s.retries = retries;
-        s.timeouts = timeouts;
-        s.respawns = respawns;
+        s.counters = *counters;
     }
 
     /// Records that a checkpoint was just written.
@@ -795,11 +780,11 @@ impl StatusCell {
                 },
             )
             .insert("models_evaluated", s.models_evaluated)
-            .insert("cache_hits", s.cache_hits)
-            .insert("infeasible", s.infeasible)
-            .insert("retries", s.retries)
-            .insert("timeouts", s.timeouts)
-            .insert("respawns", s.respawns)
+            .insert("cache_hits", s.counters.cache_hits)
+            .insert("infeasible", s.counters.infeasible_count)
+            .insert("retries", s.counters.retry_count)
+            .insert("timeouts", s.counters.timeout_count)
+            .insert("respawns", s.counters.respawn_count)
             .insert(
                 "epoch",
                 match &s.snapshot {
@@ -1218,7 +1203,14 @@ mod tests {
         assert_eq!(idle.get("epoch"), Some(&Json::Null));
 
         cell.note_started();
-        cell.note_counters(10, 2, 1, 0, 0, 0);
+        cell.note_counters(
+            10,
+            &Counters {
+                cache_hits: 2,
+                infeasible_count: 1,
+                ..Counters::default()
+            },
+        );
         cell.note_checkpoint();
         let mut t = EpochTracker::new(AnalyticsConfig::default(), 2);
         let pop = vec![evaluated(64, 0.5), evaluated(128, 0.7)];
@@ -1250,7 +1242,7 @@ mod tests {
         obs.gauge("search.hypervolume").set(0.25);
         let cell = StatusCell::new();
         cell.note_started();
-        cell.note_counters(5, 0, 0, 0, 0, 0);
+        cell.note_counters(5, &Counters::default());
 
         let handle = observatory(&obs, &cell)
             .bind("127.0.0.1:0")

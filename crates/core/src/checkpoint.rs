@@ -31,7 +31,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use ecad_mlp::Activation;
-use rt::json::{Json, ToJson};
+use rt::json::{
+    get_array, get_bool, get_f64, get_hex_u128, get_hex_u64, get_str, get_usize, FieldError, Json,
+    ToJson,
+};
 
 use crate::analytics::OperatorKind;
 use crate::engine::EvolutionConfig;
@@ -86,6 +89,36 @@ pub struct PendingJob {
     pub op: OperatorKind,
 }
 
+/// The master loop's run counters: the one copy behind
+/// [`crate::engine::EngineStats`], the `/status` document, and the
+/// checkpoint.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Counters {
+    /// Unique candidates submitted so far (including pending ones).
+    pub submitted_unique: usize,
+    /// Candidate-generation attempts consumed (the duplicate-breeding
+    /// safety valve's counter).
+    pub attempts: usize,
+    /// Next dispatch id.
+    pub next_id: usize,
+    /// Dedup-cache hits so far.
+    pub cache_hits: usize,
+    /// Final infeasible verdicts so far.
+    pub infeasible_count: usize,
+    /// Transient-failure retries scheduled so far.
+    pub retry_count: usize,
+    /// Evaluations abandoned at their deadline so far.
+    pub timeout_count: usize,
+    /// Worker slots respawned so far.
+    pub respawn_count: usize,
+    /// Accumulated per-evaluation seconds.
+    pub total_eval_time_s: f64,
+    /// Accumulated training-stage seconds.
+    pub train_time_s: f64,
+    /// Accumulated hardware-model seconds.
+    pub hw_time_s: f64,
+}
+
 /// Everything the engine needs to continue a run. See the module docs
 /// for the field-by-field rationale.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,32 +135,11 @@ pub struct CheckpointState {
     pub rng_state: u128,
     /// Master RNG raw stream selector (PCG64 `inc`, always odd).
     pub rng_inc: u128,
-    /// Unique candidates submitted so far (including pending ones).
-    pub submitted_unique: usize,
-    /// Candidate-generation attempts consumed (the duplicate-breeding
-    /// safety valve's counter).
-    pub attempts: usize,
-    /// Next dispatch id.
-    pub next_id: usize,
-    /// Dedup-cache hits so far.
-    pub cache_hits: usize,
-    /// Final infeasible verdicts so far.
-    pub infeasible_count: usize,
-    /// Transient-failure retries dispatched so far.
-    pub retry_count: usize,
-    /// Evaluations abandoned at their deadline so far.
-    pub timeout_count: usize,
-    /// Worker slots respawned so far.
-    pub respawn_count: usize,
+    /// The run counters (serialized as flat top-level keys).
+    pub counters: Counters,
     /// Per-operator `(produced, entered population)` admission
     /// counters, in [`OperatorKind::ALL`] order.
     pub op_counters: [(u64, u64); 4],
-    /// Accumulated per-evaluation seconds.
-    pub total_eval_time_s: f64,
-    /// Accumulated training-stage seconds.
-    pub train_time_s: f64,
-    /// Accumulated hardware-model seconds.
-    pub hw_time_s: f64,
     /// Wall-clock seconds consumed before this checkpoint.
     pub wall_time_s: f64,
     /// Unsampled initial seed genomes, in pop order (next-to-submit
@@ -295,6 +307,7 @@ fn pair_to_json(pair: &(CandidateGenome, Measurement)) -> Json {
 
 impl ToJson for CheckpointState {
     fn to_json(&self) -> Json {
+        let c = &self.counters;
         Json::object()
             .insert("version", self.version)
             .insert("seed", format!("{:016x}", self.seed))
@@ -302,14 +315,14 @@ impl ToJson for CheckpointState {
             .insert("population_cap", self.population_cap)
             .insert("rng_state", format!("{:032x}", self.rng_state))
             .insert("rng_inc", format!("{:032x}", self.rng_inc))
-            .insert("submitted_unique", self.submitted_unique)
-            .insert("attempts", self.attempts)
-            .insert("next_id", self.next_id)
-            .insert("cache_hits", self.cache_hits)
-            .insert("infeasible_count", self.infeasible_count)
-            .insert("retry_count", self.retry_count)
-            .insert("timeout_count", self.timeout_count)
-            .insert("respawn_count", self.respawn_count)
+            .insert("submitted_unique", c.submitted_unique)
+            .insert("attempts", c.attempts)
+            .insert("next_id", c.next_id)
+            .insert("cache_hits", c.cache_hits)
+            .insert("infeasible_count", c.infeasible_count)
+            .insert("retry_count", c.retry_count)
+            .insert("timeout_count", c.timeout_count)
+            .insert("respawn_count", c.respawn_count)
             .insert("operators", {
                 let mut ops = Json::object();
                 for (op, (total, entered)) in
@@ -324,9 +337,9 @@ impl ToJson for CheckpointState {
                 }
                 ops
             })
-            .insert("total_eval_time_s", self.total_eval_time_s)
-            .insert("train_time_s", self.train_time_s)
-            .insert("hw_time_s", self.hw_time_s)
+            .insert("total_eval_time_s", c.total_eval_time_s)
+            .insert("train_time_s", c.train_time_s)
+            .insert("hw_time_s", c.hw_time_s)
             .insert("wall_time_s", self.wall_time_s)
             .insert(
                 "seeds_remaining",
@@ -377,47 +390,11 @@ fn schema(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Schema(msg.into())
 }
 
-fn get_f64(j: &Json, key: &str) -> Result<f64, CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| schema(format!("missing or non-numeric field {key:?}")))
-}
-
-fn get_usize(j: &Json, key: &str) -> Result<usize, CheckpointError> {
-    let v = get_f64(j, key)?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return Err(schema(format!("field {key:?} is not a non-negative integer")));
+/// A malformed field is a schema error.
+impl From<FieldError> for CheckpointError {
+    fn from(e: FieldError) -> Self {
+        CheckpointError::Schema(e.0)
     }
-    Ok(v as usize)
-}
-
-fn get_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| schema(format!("missing or non-string field {key:?}")))
-}
-
-fn get_bool(j: &Json, key: &str) -> Result<bool, CheckpointError> {
-    match j.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(schema(format!("missing or non-boolean field {key:?}"))),
-    }
-}
-
-fn get_array<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], CheckpointError> {
-    j.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| schema(format!("missing or non-array field {key:?}")))
-}
-
-fn hex_u64(j: &Json, key: &str) -> Result<u64, CheckpointError> {
-    u64::from_str_radix(get_str(j, key)?, 16)
-        .map_err(|_| schema(format!("field {key:?} is not a 64-bit hex string")))
-}
-
-fn hex_u128(j: &Json, key: &str) -> Result<u128, CheckpointError> {
-    u128::from_str_radix(get_str(j, key)?, 16)
-        .map_err(|_| schema(format!("field {key:?} is not a 128-bit hex string")))
 }
 
 pub(crate) fn genome_from_json(j: &Json) -> Result<CandidateGenome, CheckpointError> {
@@ -556,25 +533,30 @@ impl CheckpointState {
                 "unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
             )));
         }
-        let rng_inc = hex_u128(j, "rng_inc")?;
+        let rng_inc = get_hex_u128(j, "rng_inc")?;
         if rng_inc & 1 == 0 {
             return Err(schema("rng_inc must be odd (corrupted checkpoint?)"));
         }
         Ok(Self {
             version,
-            seed: hex_u64(j, "seed")?,
+            seed: get_hex_u64(j, "seed")?,
             evaluations: get_usize(j, "evaluations")?,
             population_cap: get_usize(j, "population_cap")?,
-            rng_state: hex_u128(j, "rng_state")?,
+            rng_state: get_hex_u128(j, "rng_state")?,
             rng_inc,
-            submitted_unique: get_usize(j, "submitted_unique")?,
-            attempts: get_usize(j, "attempts")?,
-            next_id: get_usize(j, "next_id")?,
-            cache_hits: get_usize(j, "cache_hits")?,
-            infeasible_count: get_usize(j, "infeasible_count")?,
-            retry_count: get_usize(j, "retry_count")?,
-            timeout_count: get_usize(j, "timeout_count")?,
-            respawn_count: get_usize(j, "respawn_count")?,
+            counters: Counters {
+                submitted_unique: get_usize(j, "submitted_unique")?,
+                attempts: get_usize(j, "attempts")?,
+                next_id: get_usize(j, "next_id")?,
+                cache_hits: get_usize(j, "cache_hits")?,
+                infeasible_count: get_usize(j, "infeasible_count")?,
+                retry_count: get_usize(j, "retry_count")?,
+                timeout_count: get_usize(j, "timeout_count")?,
+                respawn_count: get_usize(j, "respawn_count")?,
+                total_eval_time_s: get_f64(j, "total_eval_time_s")?,
+                train_time_s: get_f64(j, "train_time_s")?,
+                hw_time_s: get_f64(j, "hw_time_s")?,
+            },
             op_counters: {
                 let ops = j
                     .get("operators")
@@ -591,9 +573,6 @@ impl CheckpointState {
                 }
                 counters
             },
-            total_eval_time_s: get_f64(j, "total_eval_time_s")?,
-            train_time_s: get_f64(j, "train_time_s")?,
-            hw_time_s: get_f64(j, "hw_time_s")?,
             wall_time_s: get_f64(j, "wall_time_s")?,
             seeds_remaining: get_array(j, "seeds_remaining")?
                 .iter()
@@ -611,13 +590,13 @@ impl CheckpointState {
                 .iter()
                 .map(|e| {
                     Ok((
-                        hex_u64(e, "key")?,
+                        get_hex_u64(e, "key")?,
                         measurement_from_json(e.get("measurement").ok_or_else(|| {
                             schema("cache entry missing measurement")
                         })?)?,
                     ))
                 })
-                .collect::<Result<_, _>>()?,
+                .collect::<Result<_, CheckpointError>>()?,
             pending: get_array(j, "pending")?
                 .iter()
                 .map(|p| {
@@ -634,7 +613,7 @@ impl CheckpointState {
                         })?)?,
                     })
                 })
-                .collect::<Result<_, _>>()?,
+                .collect::<Result<_, CheckpointError>>()?,
         })
     }
 
@@ -771,18 +750,20 @@ mod tests {
             population_cap: 16,
             rng_state: 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
             rng_inc: 0x1111_2222_3333_4444_5555_6666_7777_8889,
-            submitted_unique: 40,
-            attempts: 55,
-            next_id: 42,
-            cache_hits: 15,
-            infeasible_count: 3,
-            retry_count: 2,
-            timeout_count: 1,
-            respawn_count: 1,
+            counters: Counters {
+                submitted_unique: 40,
+                attempts: 55,
+                next_id: 42,
+                cache_hits: 15,
+                infeasible_count: 3,
+                retry_count: 2,
+                timeout_count: 1,
+                respawn_count: 1,
+                total_eval_time_s: 31.25,
+                train_time_s: 28.5,
+                hw_time_s: 2.5,
+            },
             op_counters: [(12, 12), (3, 2), (10, 4), (15, 7)],
-            total_eval_time_s: 31.25,
-            train_time_s: 28.5,
-            hw_time_s: 2.5,
             wall_time_s: 35.0,
             seeds_remaining: vec![genome()],
             population: vec![(genome(), measurement())],
@@ -842,9 +823,9 @@ mod tests {
         assert!(!path.with_extension("tmp").exists());
         // Overwriting is atomic: a second save replaces the first.
         let mut s2 = s.clone();
-        s2.next_id = 99;
+        s2.counters.next_id = 99;
         s2.save(&path).unwrap();
-        assert_eq!(CheckpointState::load(&path).unwrap().next_id, 99);
+        assert_eq!(CheckpointState::load(&path).unwrap().counters.next_id, 99);
         std::fs::remove_file(&path).unwrap();
     }
 

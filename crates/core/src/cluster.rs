@@ -22,8 +22,8 @@
 //!   ◀───────────────── Ready {stamp} ──
 //!   ── Evaluate {id, stamp, genome} ───▶
 //!   ◀── Evaluated {id, stamp, m, ev} ──     (repeated)
-//!   ── Purge / KillAll ────────────────▶
-//!   ◀───────────── Purged / Bye ───────
+//!   ── KillAll ────────────────────────▶
+//!   ◀──────────────────────────── Bye ──
 //! ```
 //!
 //! [`SetupPayload`] ships everything an evaluation needs — the
@@ -66,7 +66,7 @@ use ecad_hw::fpga::FpgaDevice;
 use ecad_hw::gpu::GpuDevice;
 use ecad_mlp::{Activation, OptimizerKind, TrainConfig};
 use ecad_tensor::Matrix;
-use rt::json::Json;
+use rt::json::{get_array, get_f64, get_hex_u64, get_str, get_usize, Json};
 use rt::net::{Conn, Listener, NetError};
 use rt::obs::{CaptureSink, Event, Level, Obs};
 use rt::rand::rngs::StdRng;
@@ -324,37 +324,6 @@ pub struct Migrant {
 
 fn wire_err(msg: impl Into<String>) -> NetError {
     NetError::Protocol(msg.into())
-}
-
-fn get_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, NetError> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| wire_err(format!("missing or non-string field {key:?}")))
-}
-
-fn get_f64(j: &Json, key: &str) -> Result<f64, NetError> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| wire_err(format!("missing or non-numeric field {key:?}")))
-}
-
-fn get_usize(j: &Json, key: &str) -> Result<usize, NetError> {
-    let x = get_f64(j, key)?;
-    if x < 0.0 || x.fract() != 0.0 {
-        return Err(wire_err(format!("field {key:?} is not a non-negative integer")));
-    }
-    Ok(x as usize)
-}
-
-fn get_u64_hex(j: &Json, key: &str) -> Result<u64, NetError> {
-    u64::from_str_radix(get_str(j, key)?, 16)
-        .map_err(|_| wire_err(format!("field {key:?} is not a 64-bit hex string")))
-}
-
-fn get_array<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], NetError> {
-    j.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| wire_err(format!("missing or non-array field {key:?}")))
 }
 
 fn u32s_to_json(xs: &[u32]) -> Json {
@@ -664,7 +633,7 @@ impl SetupPayload {
 
     fn from_json(j: &Json) -> Result<(Self, u64), NetError> {
         let payload = Self {
-            seed: get_u64_hex(j, "seed")?,
+            seed: get_hex_u64(j, "seed")?,
             train: dataset_from_json(
                 j.get("train").ok_or_else(|| wire_err("setup missing train"))?,
             )?,
@@ -695,7 +664,7 @@ impl SetupPayload {
                 0
             },
         };
-        Ok((payload, get_u64_hex(j, "stamp")?))
+        Ok((payload, get_hex_u64(j, "stamp")?))
     }
 }
 
@@ -714,9 +683,6 @@ pub enum CoordinatorRequest {
         /// The candidate to score.
         genome: CandidateGenome,
     },
-    /// Drop island/elite state but keep serving (sent on reconnect so
-    /// a new session never inherits a stale island).
-    Purge,
     /// Stop serving entirely: the worker replies `Bye` and its process
     /// exits the listen loop.
     KillAll,
@@ -739,7 +705,6 @@ impl CoordinatorRequest {
                 .insert("id", *id)
                 .insert("stamp", format!("{stamp:016x}"))
                 .insert("genome", genome_to_json(genome)),
-            CoordinatorRequest::Purge => Json::object().insert("req", "purge"),
             CoordinatorRequest::KillAll => Json::object().insert("req", "kill_all"),
         })
     }
@@ -757,13 +722,12 @@ impl CoordinatorRequest {
             }
             "evaluate" => CoordinatorRequest::Evaluate {
                 id: get_usize(j, "id")? as u64,
-                stamp: get_u64_hex(j, "stamp")?,
+                stamp: get_hex_u64(j, "stamp")?,
                 genome: genome_from_json(
                     j.get("genome").ok_or_else(|| wire_err("evaluate missing genome"))?,
                 )
                 .map_err(|e| wire_err(format!("bad genome: {e}")))?,
             },
-            "purge" => CoordinatorRequest::Purge,
             "kill_all" => CoordinatorRequest::KillAll,
             other => return Err(wire_err(format!("unknown request {other:?}"))),
         })
@@ -796,8 +760,6 @@ pub enum WorkerResponse {
         /// islands are on and this job crossed a migration boundary).
         migrants: Vec<(CandidateGenome, Measurement)>,
     },
-    /// Island/elite state dropped.
-    Purged,
     /// Periodic telemetry piggybacked on the session: cumulative
     /// session counters plus an optional `rt::prof` subtree export.
     /// Sent after every `stats_every`-th `Evaluated` and once more
@@ -859,7 +821,6 @@ impl WorkerResponse {
                             .collect(),
                     ),
                 ),
-            WorkerResponse::Purged => Json::object().insert("resp", "purged"),
             WorkerResponse::Stats {
                 jobs,
                 train_s,
@@ -892,11 +853,11 @@ impl WorkerResponse {
     pub fn from_json(j: &Json) -> Result<Self, NetError> {
         Ok(match get_str(j, "resp")? {
             "ready" => WorkerResponse::Ready {
-                stamp: get_u64_hex(j, "stamp")?,
+                stamp: get_hex_u64(j, "stamp")?,
             },
             "evaluated" => WorkerResponse::Evaluated {
                 id: get_usize(j, "id")? as u64,
-                stamp: get_u64_hex(j, "stamp")?,
+                stamp: get_hex_u64(j, "stamp")?,
                 measurement: measurement_from_json(
                     j.get("measurement")
                         .ok_or_else(|| wire_err("evaluated missing measurement"))?,
@@ -925,7 +886,6 @@ impl WorkerResponse {
                     })
                     .collect::<Result<Vec<_>, NetError>>()?,
             },
-            "purged" => WorkerResponse::Purged,
             "stats" => WorkerResponse::Stats {
                 jobs: get_usize(j, "jobs")? as u64,
                 train_s: get_f64(j, "train_s")?,
@@ -1343,16 +1303,6 @@ impl WorkerServer {
                         conn.send(&stats.to_json())?;
                     }
                 }
-                CoordinatorRequest::Purge => {
-                    if let Some(s) = session.as_mut() {
-                        if let Some(island) = s.island.as_mut() {
-                            island.elites.clear();
-                            island.jobs_since = 0;
-                        }
-                    }
-                    rt::info!(self.obs, "session_purge");
-                    conn.send(&WorkerResponse::Purged.to_json())?;
-                }
                 CoordinatorRequest::KillAll => {
                     // Final cumulative stats precede the goodbye so the
                     // coordinator's master profile always includes this
@@ -1475,14 +1425,9 @@ mod tests {
             }
             other => panic!("wrong variant {other:?}"),
         }
-        for (req, name) in [
-            (CoordinatorRequest::Purge, "purge"),
-            (CoordinatorRequest::KillAll, "kill_all"),
-        ] {
-            let wire = req.to_json().unwrap();
-            assert_eq!(wire.get("req").and_then(Json::as_str), Some(name));
-            assert!(CoordinatorRequest::from_json(&wire).is_ok());
-        }
+        let wire = CoordinatorRequest::KillAll.to_json().unwrap();
+        assert_eq!(wire.get("req").and_then(Json::as_str), Some("kill_all"));
+        assert!(CoordinatorRequest::from_json(&wire).is_ok());
 
         let m = Measurement::infeasible(InfeasibleReason::Transient("net".into()));
         let resp = WorkerResponse::Evaluated {

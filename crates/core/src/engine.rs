@@ -29,27 +29,35 @@
 //! * **checkpoint/resume**: with a [`CheckpointPolicy`] attached, the
 //!   full master state is snapshotted every N unique evaluations and on
 //!   halt, and [`Engine::resume`] continues a seeded single-thread run
-//!   byte-identically (DESIGN.md §12).
+//!   byte-identically (DESIGN.md §12). Work pending at the snapshot
+//!   re-enters the ledger's one retry queue, ready immediately.
+//!
+//! All of the loop's mutable state — RNG, population, trace, cache,
+//! unsubmitted seeds, counters, ledger, epoch tracker — lives in one
+//! private `Master` value owned by the run; dispatch, retry, finalize,
+//! checkpoint, and statistics are its methods.
 //!
 //! With `threads = 1` the whole search is deterministic for a fixed
 //! seed; more threads trade determinism for wall-clock speed (result
 //! arrival order feeds back into breeding).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rt::net::{Conn, NetError};
-use rt::obs::Obs;
+use rt::obs::{Counter, Gauge, HistogramHandle, Obs};
 use rt::rand::rngs::StdRng;
 use rt::rand::{Rng, RngCore, SeedableRng};
 use rt::supervise::{ShutdownFlag, Supervisor};
 use rt::sync::channel::{self, Receiver, RecvTimeoutError, Sender};
 
-use crate::analytics::{AnalyticsConfig, EpochTracker, OperatorKind, StatusCell};
-use crate::checkpoint::{CheckpointError, CheckpointPolicy, CheckpointState, PendingJob};
+use crate::analytics::{
+    AnalyticsConfig, EpochTracker, OperatorKind, PopulationSnapshot, StatusCell,
+};
+use crate::checkpoint::{CheckpointError, CheckpointPolicy, CheckpointState, Counters, PendingJob};
 use crate::cluster::{
     addr_salt, ClusterHealth, ClusterPlan, CoordinatorRequest, Migrant, WorkerResponse,
     WorkerState, COORDINATOR_ROLE, WORKER_ROLE,
@@ -57,7 +65,7 @@ use crate::cluster::{
 use crate::fitness::ObjectiveSet;
 use crate::genome::CandidateGenome;
 use crate::measurement::{FailureKind, InfeasibleReason, Measurement};
-use crate::protocol::{DispatchLedger, ResultClass};
+use crate::protocol::{DispatchLedger, Job, ResultClass};
 use crate::space::SearchSpace;
 use crate::workers::Evaluator;
 
@@ -253,23 +261,6 @@ type JobPayload = (CandidateGenome, OperatorKind);
 /// with virtual-time ticks).
 type EngineLedger = DispatchLedger<JobPayload, Instant>;
 
-/// The master loop's mutable scalars, grouped so checkpoints can
-/// snapshot them in one place.
-#[derive(Default, Clone, Copy)]
-struct Counters {
-    submitted_unique: usize,
-    attempts: usize,
-    next_id: usize,
-    cache_hits: usize,
-    infeasible_count: usize,
-    retry_count: usize,
-    timeout_count: usize,
-    respawn_count: usize,
-    total_eval_time: f64,
-    train_time: f64,
-    hw_time: f64,
-}
-
 /// Deterministic jittered exponential backoff: base × 2^(attempt−1),
 /// scaled by a factor in [0.5, 1.5) drawn from an RNG seeded by the
 /// search seed, the candidate's cache key, and the attempt number —
@@ -285,94 +276,72 @@ fn backoff_delay(cfg: &EvolutionConfig, key: u64, attempt: usize) -> Duration {
     base.mul_f64(factor)
 }
 
-/// Snapshots the master loop into a serializable [`CheckpointState`].
-/// In-flight and retry-queued work lands in `pending` so nothing is
-/// lost; with one thread both are empty at every admit boundary.
-#[allow(clippy::too_many_arguments)]
-fn build_checkpoint(
-    cfg: &EvolutionConfig,
-    rng: &StdRng,
-    c: &Counters,
-    op_counters: [(u64, u64); 4],
-    wall_time_s: f64,
-    seeds: &[CandidateGenome],
-    population: &[Evaluated],
-    trace: &[Evaluated],
-    cache: &HashMap<u64, Measurement>,
-    ledger: &EngineLedger,
-    pending_restore: &VecDeque<PendingJob>,
-) -> CheckpointState {
-    let (rng_state, rng_inc) = rng.raw_state();
-    let pairs = |v: &[Evaluated]| {
-        v.iter()
-            .map(|e| (e.genome.clone(), e.measurement.clone()))
-            .collect()
-    };
-    let mut cache_entries: Vec<(u64, Measurement)> =
-        cache.iter().map(|(&k, m)| (k, m.clone())).collect();
-    cache_entries.sort_by_key(|&(k, _)| k);
-    // The ledger yields in-flight jobs in id order, then queued
-    // retries in FIFO order — the same deterministic layout the
-    // hand-rolled snapshot produced.
-    let pending = ledger
-        .pending_jobs()
-        .into_iter()
-        .map(|(attempt, (genome, op))| PendingJob {
-            attempt,
-            genome: genome.clone(),
-            op: *op,
-        })
-        .chain(pending_restore.iter().cloned())
-        .collect();
-    CheckpointState {
-        version: crate::checkpoint::FORMAT_VERSION,
-        seed: cfg.seed,
-        evaluations: cfg.evaluations,
-        population_cap: cfg.population,
-        rng_state,
-        rng_inc,
-        submitted_unique: c.submitted_unique,
-        attempts: c.attempts,
-        next_id: c.next_id,
-        cache_hits: c.cache_hits,
-        infeasible_count: c.infeasible_count,
-        retry_count: c.retry_count,
-        timeout_count: c.timeout_count,
-        respawn_count: c.respawn_count,
-        op_counters,
-        total_eval_time_s: c.total_eval_time,
-        train_time_s: c.train_time,
-        hw_time_s: c.hw_time,
-        wall_time_s,
-        seeds_remaining: seeds.to_vec(),
-        population: pairs(population),
-        trace: pairs(trace),
-        cache: cache_entries,
-        pending,
-    }
+/// Epoch-analytics gauges and the snapshot field each one mirrors.
+const EPOCH_GAUGES: [(&str, fn(&PopulationSnapshot) -> f64); 8] = [
+    ("search.epoch", |s| s.epoch as f64),
+    ("search.best_fitness", |s| s.best_fitness),
+    ("search.hypervolume", |s| s.hypervolume),
+    ("search.archive_size", |s| s.archive_size as f64),
+    ("search.gene_entropy_bits", |s| s.gene_entropy_bits),
+    ("search.mean_distance", |s| s.mean_distance),
+    ("search.cache_hit_rate", |s| s.cache_hit_rate),
+    ("search.fitness_p50", |s| s.fitness.p50),
+];
+
+/// The metric handles the master loop updates, resolved once per run.
+struct Instruments {
+    evaluated: Counter,
+    cache_hits: Counter,
+    infeasible: Counter,
+    retries: Counter,
+    timeouts: Counter,
+    respawns: Counter,
+    migrants: Counter,
+    eval_time: HistogramHandle,
+    epoch_gauges: Vec<Gauge>,
+    /// Per-epoch hypervolume, so the convergence curve's distribution
+    /// survives scraping gaps.
+    hypervolume_hist: HistogramHandle,
+    op_rates: Vec<Gauge>,
 }
 
-/// Writes a checkpoint, downgrading failure to a warning event — a
-/// full disk must not kill a search that is otherwise healthy. The
-/// status cell learns about successful writes so `/status` can report
-/// checkpoint age.
-fn save_checkpoint(
-    policy: &CheckpointPolicy,
-    state: &CheckpointState,
-    obs: &Obs,
-    status: &StatusCell,
-) {
-    match state.save(&policy.path) {
-        Ok(()) => {
-            status.note_checkpoint();
-            rt::trace!(
-                obs,
-                "checkpoint",
-                evaluations_done = state.trace.len(),
-                path = policy.path.display().to_string(),
-            );
+impl Instruments {
+    fn new(obs: &Obs) -> Self {
+        Self {
+            evaluated: obs.counter("engine.models_evaluated"),
+            cache_hits: obs.counter("engine.cache_hits"),
+            infeasible: obs.counter("engine.infeasible"),
+            retries: obs.counter("engine.retries"),
+            timeouts: obs.counter("engine.timeouts"),
+            respawns: obs.counter("engine.respawns"),
+            migrants: obs.counter("engine.migrants"),
+            eval_time: obs.histogram("engine.eval_time_s"),
+            epoch_gauges: EPOCH_GAUGES.iter().map(|(name, _)| obs.gauge(name)).collect(),
+            hypervolume_hist: obs.histogram("search.epoch_hypervolume"),
+            op_rates: OperatorKind::ALL
+                .iter()
+                .map(|op| obs.gauge(&format!("search.op_{}_rate", op.name())))
+                .collect(),
         }
-        Err(e) => rt::warn!(obs, "checkpoint_error", error = e.to_string()),
+    }
+
+    /// Mirrors an epoch snapshot into the gauges, plus the per-phase
+    /// seconds of the attached profiler's top-level spans, so the
+    /// `/metrics` exposition carries the time breakdown of a live
+    /// search.
+    fn publish(&self, snap: &PopulationSnapshot, obs: &Obs) {
+        for (gauge, (_, field)) in self.epoch_gauges.iter().zip(EPOCH_GAUGES) {
+            gauge.set(field(snap));
+        }
+        self.hypervolume_hist.record(snap.hypervolume);
+        for (gauge, op) in self.op_rates.iter().zip(OperatorKind::ALL) {
+            gauge.set(snap.operators.rate(op));
+        }
+        if let Some(profiler) = obs.profiler() {
+            for (phase, secs) in profiler.phase_seconds() {
+                obs.gauge(&format!("profile.phase.{phase}_s")).set(secs);
+            }
+        }
     }
 }
 
@@ -382,7 +351,7 @@ fn save_checkpoint(
 fn spawn_local_slot(
     supervisor: &mut Supervisor,
     req_rx: Receiver<(usize, CandidateGenome)>,
-    res_tx: Sender<(usize, CandidateGenome, Measurement)>,
+    res_tx: Sender<(usize, Measurement)>,
     evaluator: Arc<dyn Evaluator>,
     obs: Obs,
 ) {
@@ -416,7 +385,7 @@ fn spawn_local_slot(
                 )
             };
             ctx.release(id as u64);
-            if res_tx.send((id, genome, m)).is_err() || !ctx.is_current() {
+            if res_tx.send((id, m)).is_err() || !ctx.is_current() {
                 return;
             }
         }
@@ -658,7 +627,7 @@ fn spawn_remote_slot(
     index: usize,
     req_rx: Receiver<(usize, CandidateGenome)>,
     forward: Sender<(usize, CandidateGenome)>,
-    res_tx: Sender<(usize, CandidateGenome, Measurement)>,
+    res_tx: Sender<(usize, Measurement)>,
     mig_tx: Sender<Migrant>,
     live: Arc<AtomicUsize>,
     alive: Arc<Vec<AtomicBool>>,
@@ -810,7 +779,7 @@ fn spawn_remote_slot(
                 }
             };
             ctx.release(id as u64);
-            if res_tx.send((id, genome, m)).is_err() || !ctx.is_current() {
+            if res_tx.send((id, m)).is_err() || !ctx.is_current() {
                 if let Some(s) = session.take() {
                     s.kill(&telemetry);
                 }
@@ -834,31 +803,33 @@ fn spawn_remote_slot(
     });
 }
 
-/// Routes one dispatched job. Cluster jobs go to slot `id % n` — a
-/// deterministic assignment, so each worker's job stream (and hence
-/// its ticks-clock profile subtree) is reproducible — falling back to
-/// the next alive slot once one retires. Retired slots keep draining
-/// their queue and bounce jobs back as transients, so nothing is lost
-/// in the race between routing and retirement. Jobs fall through to
-/// the shared local queue when no remote slot remains (the
-/// degradation path's local slots consume it).
-fn route_job(
-    remote_txs: &[Sender<(usize, CandidateGenome)>],
-    alive: &[AtomicBool],
-    local_tx: &Sender<(usize, CandidateGenome)>,
-    id: usize,
-    genome: CandidateGenome,
-) {
-    let n = remote_txs.len();
-    for k in 0..n {
-        let slot = (id + k) % n;
-        if alive[slot].load(Ordering::Acquire)
-            && remote_txs[slot].send((id, genome.clone())).is_ok()
-        {
-            return;
+/// Where dispatched jobs go. Cluster jobs go to slot `id % n` — a
+/// deterministic assignment, so each worker's job stream (and hence its
+/// ticks-clock profile subtree) is reproducible — falling back to the
+/// next alive slot once one retires. A retired slot forwards any job
+/// that raced its retirement to the shared local queue, where the
+/// master hands it back to [`Router::route`]; jobs fall through to that
+/// queue too when no remote slot remains (the degradation path's local
+/// slots consume it).
+struct Router {
+    remote: Vec<Sender<(usize, CandidateGenome)>>,
+    alive: Arc<Vec<AtomicBool>>,
+    local: Sender<(usize, CandidateGenome)>,
+}
+
+impl Router {
+    fn route(&self, id: usize, genome: CandidateGenome) {
+        let n = self.remote.len();
+        for k in 0..n {
+            let slot = (id + k) % n;
+            if self.alive[slot].load(Ordering::Acquire)
+                && self.remote[slot].send((id, genome.clone())).is_ok()
+            {
+                return;
+            }
         }
+        self.local.send((id, genome)).expect("workers alive");
     }
-    local_tx.send((id, genome)).expect("workers alive");
 }
 
 impl Engine {
@@ -987,139 +958,24 @@ impl Engine {
     }
 
     fn run_inner(&self, restored: Option<CheckpointState>) -> EngineOutcome {
-        let start = Instant::now();
         // Master-side prof_span! sites (dispatch/breed/replace) record
         // under the engine's profile tree when one is attached.
         let _prof_install = self.obs.profiler().map(|p| p.install());
         let cfg = self.config;
         self.status.note_started();
-        let mut tracker = EpochTracker::new(cfg.analytics, cfg.population);
-
-        let mut rng;
-        let mut population: Vec<Evaluated>;
-        let mut trace: Vec<Evaluated>;
-        let mut cache: HashMap<u64, Measurement>;
-        let mut seeds: Vec<CandidateGenome>;
-        let mut c = Counters::default();
-        let prior_wall: f64;
-        let mut pending_restore: VecDeque<PendingJob>;
-
-        match restored {
-            Some(state) => {
-                let revive = |(genome, measurement): (CandidateGenome, Measurement)| {
-                    // Fitness is recomputed rather than serialized:
-                    // infeasible candidates carry -inf, which JSON
-                    // cannot represent.
-                    let fitness = self.objectives.scalar(&measurement);
-                    Evaluated {
-                        genome,
-                        measurement,
-                        fitness,
-                    }
-                };
-                rng = StdRng::from_raw_state(state.rng_state, state.rng_inc);
-                population = state.population.into_iter().map(revive).collect();
-                trace = state.trace.into_iter().map(revive).collect();
-                // Rebuild the epoch tracker by silently replaying the
-                // restored trace in epoch-sized chunks: archive, best,
-                // and stall history end up exactly as the uninterrupted
-                // run's, so the next epoch event is bit-identical.
-                tracker.set_operator_totals(state.op_counters);
-                tracker.replay(trace.iter().map(|e| {
-                    let oriented = if e.fitness.is_finite() {
-                        self.objectives.oriented_values(&e.measurement)
-                    } else {
-                        Vec::new()
-                    };
-                    (oriented, e.fitness)
-                }));
-                cache = state.cache.into_iter().collect();
-                seeds = state.seeds_remaining;
-                c.submitted_unique = state.submitted_unique;
-                c.attempts = state.attempts;
-                c.next_id = state.next_id;
-                c.cache_hits = state.cache_hits;
-                c.infeasible_count = state.infeasible_count;
-                c.retry_count = state.retry_count;
-                c.timeout_count = state.timeout_count;
-                c.respawn_count = state.respawn_count;
-                c.total_eval_time = state.total_eval_time_s;
-                c.train_time = state.train_time_s;
-                c.hw_time = state.hw_time_s;
-                prior_wall = state.wall_time_s;
-                pending_restore = state.pending.into();
-                // Trace level on purpose: the resumed run's Debug-level
-                // JSONL must continue the interrupted file byte-for-byte,
-                // so no extra Debug+ event may appear here (and no second
-                // search_start).
-                rt::trace!(self.obs, "resume", evaluations_done = trace.len());
-            }
-            None => {
-                rng = StdRng::seed_from_u64(cfg.seed);
-                rt::info!(
-                    self.obs,
-                    "search_start",
-                    target = self.evaluator.target_name(),
-                    population = cfg.population,
-                    evaluations = cfg.evaluations,
-                    tournament = cfg.tournament,
-                    seed = cfg.seed,
-                    threads = cfg.threads,
-                    selection = match cfg.selection {
-                        SelectionMode::WeightedScalar => "weighted-scalar",
-                        SelectionMode::Nsga2 => "nsga2",
-                    },
-                );
-                population = Vec::with_capacity(cfg.population);
-                trace = Vec::new();
-                cache = HashMap::new();
-                // Seed genomes for the initial population.
-                seeds = (0..cfg.population.min(cfg.evaluations))
-                    .map(|_| self.space.sample(&mut rng))
-                    .collect();
-                seeds.reverse(); // pop() takes them in creation order
-                prior_wall = 0.0;
-                pending_restore = VecDeque::new();
-            }
-        }
-
-        let evaluated_counter = self.obs.counter("engine.models_evaluated");
-        let cache_hit_counter = self.obs.counter("engine.cache_hits");
-        let infeasible_counter = self.obs.counter("engine.infeasible");
-        let retry_counter = self.obs.counter("engine.retries");
-        let timeout_counter = self.obs.counter("engine.timeouts");
-        let respawn_counter = self.obs.counter("engine.respawns");
-        let migrant_counter = self.obs.counter("engine.migrants");
-        let eval_hist = self.obs.histogram("engine.eval_time_s");
-
-        // Epoch analytics instruments: gauges refreshed at each epoch
-        // boundary, plus a histogram of the per-epoch hypervolume so
-        // the convergence curve's distribution survives scraping gaps.
-        let epoch_gauge = self.obs.gauge("search.epoch");
-        let best_gauge = self.obs.gauge("search.best_fitness");
-        let hv_gauge = self.obs.gauge("search.hypervolume");
-        let archive_gauge = self.obs.gauge("search.archive_size");
-        let entropy_gauge = self.obs.gauge("search.gene_entropy_bits");
-        let distance_gauge = self.obs.gauge("search.mean_distance");
-        let cache_rate_gauge = self.obs.gauge("search.cache_hit_rate");
-        let fitness_p50_gauge = self.obs.gauge("search.fitness_p50");
-        let hv_hist = self.obs.histogram("search.epoch_hypervolume");
-        let op_gauges: Vec<_> = OperatorKind::ALL
-            .iter()
-            .map(|op| self.obs.gauge(&format!("search.op_{}_rate", op.name())))
-            .collect();
+        let mut master = Master::new(self, restored);
 
         let (req_tx, req_rx) = channel::unbounded::<(usize, CandidateGenome)>();
-        let (res_tx, res_rx) = channel::unbounded::<(usize, CandidateGenome, Measurement)>();
+        let (res_tx, res_rx) = channel::unbounded::<(usize, Measurement)>();
         let (mig_tx, mig_rx) = channel::unbounded::<Migrant>();
         let (done_tx, done_rx) = channel::unbounded::<()>();
 
         // Workers live in supervised slots on detached threads: a hung
         // evaluation can be abandoned (scoped threads would force a
-        // join that never returns). They exit when `req_tx` drops or
+        // join that never returns). They exit when the router drops or
         // when their generation goes stale after a respawn. In cluster
         // mode each slot instead proxies one remote worker; the
-        // pipeline depth follows the slot count so the fill loops keep
+        // pipeline depth follows the slot count so the fill loop keeps
         // every slot busy either way.
         let remote_workers = self.cluster.as_ref().map_or(0, |p| p.options.workers.len());
         let mut pipeline_depth = if remote_workers > 0 {
@@ -1177,168 +1033,30 @@ impl Engine {
         drop(res_tx);
         drop(mig_tx); // remote slots hold the clones
         drop(done_tx);
+        let router = Router {
+            remote: remote_txs,
+            alive: slot_alive,
+            local: req_tx,
+        };
 
-        let max_attempts = cfg.evaluations * Self::MAX_ATTEMPT_FACTOR;
-        let mut ledger = EngineLedger::new();
         let mut halted = false;
-
-        macro_rules! dispatch {
-            ($genome:expr, $attempt:expr, $op:expr) => {{
-                let genome: CandidateGenome = $genome;
-                let attempt: usize = $attempt;
-                let id = c.next_id;
-                c.next_id += 1;
-                ledger.dispatch(
-                    id as u64,
-                    (genome.clone(), $op),
-                    attempt,
-                    cfg.eval_timeout.map(|t| Instant::now() + t),
-                );
-                route_job(&remote_txs, &slot_alive, &req_tx, id, genome);
-                id
-            }};
-        }
-
-        macro_rules! finalize {
-            ($id:expr, $genome:expr, $measurement:expr, $op:expr) => {{
-                let measurement: Measurement = $measurement;
-                evaluated_counter.inc();
-                if !measurement.hw.is_feasible() {
-                    c.infeasible_count += 1;
-                    infeasible_counter.inc();
-                }
-                // Transient verdicts (an exhausted retry budget) stay
-                // out of the cache: a duplicate later gets a fresh
-                // chance instead of inheriting a flaky failure.
-                if measurement.failure_kind() != Some(FailureKind::Transient) {
-                    cache.insert($genome.cache_key(), measurement.clone());
-                }
-                let (eval, entered) = self.admit($genome, measurement, &mut population, &mut rng);
-                tracker.record_op($op, entered);
-                if eval.fitness.is_finite() {
-                    tracker.observe(
-                        &self.objectives.oriented_values(&eval.measurement),
-                        eval.fitness,
-                    );
-                }
-                rt::info!(
-                    self.obs,
-                    "evaluated",
-                    id = $id,
-                    accuracy = eval.measurement.accuracy,
-                    fitness = eval.fitness,
-                    feasible = eval.measurement.hw.is_feasible(),
-                );
-                trace.push(eval);
-                if tracker.should_snapshot(trace.len()) {
-                    let (snap, stall_fired) =
-                        tracker.snapshot(trace.len(), &population, c.cache_hits);
-                    self.emit_epoch(&snap, stall_fired);
-                    epoch_gauge.set(snap.epoch as f64);
-                    best_gauge.set(snap.best_fitness);
-                    hv_gauge.set(snap.hypervolume);
-                    hv_hist.record(snap.hypervolume);
-                    archive_gauge.set(snap.archive_size as f64);
-                    entropy_gauge.set(snap.gene_entropy_bits);
-                    distance_gauge.set(snap.mean_distance);
-                    cache_rate_gauge.set(snap.cache_hit_rate);
-                    fitness_p50_gauge.set(snap.fitness.p50);
-                    for (gauge, op) in op_gauges.iter().zip(OperatorKind::ALL) {
-                        gauge.set(snap.operators.rate(op));
-                    }
-                    // Mirror per-phase profile seconds (top-level spans
-                    // of the attached profiler) into gauges, so the
-                    // /metrics Prometheus exposition carries the time
-                    // breakdown of a live search.
-                    if let Some(profiler) = self.obs.profiler() {
-                        for (phase, secs) in profiler.phase_seconds() {
-                            self.obs
-                                .gauge(&format!("profile.phase.{phase}_s"))
-                                .set(secs);
-                        }
-                    }
-                    self.status.note_snapshot(snap);
-                }
-                self.status.note_counters(
-                    trace.len(),
-                    c.cache_hits,
-                    c.infeasible_count,
-                    c.retry_count,
-                    c.timeout_count,
-                    c.respawn_count,
-                );
-                if let Some(policy) = &self.checkpoint {
-                    if trace.len() % policy.every == 0 {
-                        let state = build_checkpoint(
-                            &cfg, &rng, &c, tracker.operator_totals(),
-                            prior_wall + start.elapsed().as_secs_f64(),
-                            &seeds, &population, &trace, &cache,
-                            &ledger, &pending_restore,
-                        );
-                        save_checkpoint(policy, &state, &self.obs, &self.status);
-                    }
-                }
-            }};
-        }
-
         loop {
             let halt_requested = self.shutdown.is_requested()
-                || self.halt_after.is_some_and(|n| trace.len() >= n);
+                || self.halt_after.is_some_and(|n| master.trace.len() >= n);
 
             if remote_workers > 0 {
-                // Fold island migrants into the population. Deliberately
-                // outside the trace/budget/rng streams: migrants spend
-                // worker-side compute only, replace the current worst
-                // member deterministically, and seed the dedup cache so
-                // the coordinator never re-evaluates one.
                 while let Ok(migrant) = mig_rx.try_recv() {
-                    let key = migrant.genome.cache_key();
-                    if cache.contains_key(&key) {
-                        continue;
-                    }
-                    cache.insert(key, migrant.measurement.clone());
-                    let fitness = self.objectives.scalar(&migrant.measurement);
-                    migrant_counter.inc();
-                    rt::info!(
-                        self.obs,
-                        "migration",
-                        slot = migrant.slot,
-                        key = format!("{key:016x}"),
-                        fitness = fitness,
-                        accuracy = migrant.measurement.accuracy,
-                    );
-                    if !fitness.is_finite() {
-                        continue;
-                    }
-                    let eval = Evaluated {
-                        genome: migrant.genome,
-                        measurement: migrant.measurement,
-                        fitness,
-                    };
-                    if population.len() < cfg.population {
-                        population.push(eval);
-                    } else if let Some(worst) = (0..population.len()).min_by(|&a, &b| {
-                        population[a]
-                            .fitness
-                            .partial_cmp(&population[b].fitness)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    }) {
-                        if population[worst].fitness < eval.fitness {
-                            population[worst] = eval;
-                        }
-                    }
+                    master.fold_migrant(migrant);
                 }
                 // Jobs a retired slot forwarded off its queue land on
                 // the shared queue; while remotes survive, hand them
-                // back to `route_job` (once none do, the degradation
+                // back to the router (once none do, the degradation
                 // path's local slots consume the queue instead).
-                while !degraded
-                    && slot_alive.iter().any(|a| a.load(Ordering::Acquire))
-                {
+                while !degraded && router.alive.iter().any(|a| a.load(Ordering::Acquire)) {
                     let Ok((id, genome)) = req_rx.try_recv() else {
                         break;
                     };
-                    route_job(&remote_txs, &slot_alive, &req_tx, id, genome);
+                    router.route(id, genome);
                 }
                 // Graceful degradation: when the last remote slot has
                 // retired, warn and fall back to local in-process
@@ -1369,118 +1087,32 @@ impl Engine {
                 }
             }
 
-            if !halt_requested {
-                // Re-dispatch retries whose backoff has elapsed, then
-                // work restored from a checkpoint (its unique budget is
-                // already counted), then fresh candidates.
-                let now = Instant::now();
-                while ledger.in_flight_len() < pipeline_depth {
-                    let Some((attempt, (genome, op))) = ledger.pop_ready_retry(now) else {
-                        break;
-                    };
-                    let key = genome.cache_key();
-                    let id = dispatch!(genome, attempt, op);
-                    rt::warn!(
-                        self.obs,
-                        "retry",
-                        id = id,
-                        attempt = attempt,
-                        key = format!("{key:016x}"),
-                    );
-                }
-                while ledger.in_flight_len() < pipeline_depth && !pending_restore.is_empty() {
-                    let job = pending_restore.pop_front().expect("nonempty");
-                    let key = job.genome.cache_key();
-                    let attempt = job.attempt;
-                    let id = dispatch!(job.genome, attempt, job.op);
-                    if attempt == 0 {
-                        rt::debug!(self.obs, "submit", id = id, key = format!("{key:016x}"));
-                    } else {
-                        rt::warn!(
-                            self.obs,
-                            "retry",
-                            id = id,
-                            attempt = attempt,
-                            key = format!("{key:016x}"),
-                        );
-                    }
-                }
-                while ledger.in_flight_len() < pipeline_depth
-                    && c.submitted_unique < cfg.evaluations
-                    && c.attempts < max_attempts
-                {
-                    let (genome, op) = {
-                        // Scoped to candidate selection only: the span
-                        // must close before the job is handed to the
-                        // pool, so master-side clock reads never overlap
-                        // a running worker (which would make ticks-clock
-                        // profiles depend on thread interleaving).
-                        let _prof = rt::prof_span!("dispatch");
-                        match seeds.pop() {
-                            Some(g) => (g, OperatorKind::Seed),
-                            None => self.breed(&population, &mut rng),
-                        }
-                    };
-                    c.attempts += 1;
-                    let key = genome.cache_key();
-                    if let Some(cached) = cache.get(&key) {
-                        // Duplicate: serve from cache, no budget, no
-                        // worker round-trip.
-                        c.cache_hits += 1;
-                        cache_hit_counter.inc();
-                        rt::debug!(self.obs, "cache_hit", key = format!("{key:016x}"));
-                        let (eval, entered) =
-                            self.admit(genome, cached.clone(), &mut population, &mut rng);
-                        // A cached duplicate still says something about
-                        // its operator's usefulness.
-                        tracker.record_op(op, entered);
-                        // Cached repeats are not re-appended to the
-                        // trace; Table III counts unique models.
-                        let _ = eval;
-                        continue;
-                    }
-                    // Emit before handing the genome to the pool: with
-                    // one thread the master then blocks on recv, so the
-                    // worker's own events always land after this line —
-                    // the property that makes seeded traces replayable.
-                    rt::debug!(
-                        self.obs,
-                        "submit",
-                        id = c.next_id,
-                        key = format!("{key:016x}"),
-                    );
-                    c.submitted_unique += 1;
-                    dispatch!(genome, 0, op);
-                }
+            if halt_requested {
+                halted = true;
+                // Trace level for the same reason as "resume": the
+                // halted file must be a byte-prefix of the
+                // uninterrupted run's Debug-level JSONL.
+                rt::trace!(self.obs, "halt", evaluations_done = master.trace.len());
+                master.save_checkpoint();
+                break;
             }
-
-            let drained = ledger.quiescent() && pending_restore.is_empty();
-            if halt_requested || drained {
-                if halt_requested {
-                    halted = true;
-                    // Trace level for the same reason as "resume": the
-                    // halted file must be a byte-prefix of the
-                    // uninterrupted run's Debug-level JSONL.
-                    rt::trace!(self.obs, "halt", evaluations_done = trace.len());
-                    if let Some(policy) = &self.checkpoint {
-                        let state = build_checkpoint(
-                            &cfg, &rng, &c, tracker.operator_totals(),
-                            prior_wall + start.elapsed().as_secs_f64(),
-                            &seeds, &population, &trace, &cache,
-                            &ledger, &pending_restore,
-                        );
-                        save_checkpoint(policy, &state, &self.obs, &self.status);
-                    }
-                }
+            master.fill(&router, pipeline_depth);
+            if master.ledger.quiescent() {
                 break;
             }
 
-            // Sleep until a result arrives — or the earliest deadline /
-            // retry-ready time, whichever comes first. Before a cluster
-            // run has degraded, cap the sleep so the master observes
+            // Sleep until a result arrives or the earliest deadline —
+            // and, while a slot is free, the earliest retry-ready time.
+            // With every slot busy a ready retry cannot be dispatched,
+            // so waking for it would only spin. Before a cluster run
+            // has degraded, cap the sleep so the master observes
             // migrants and lost workers even when no result will ever
             // arrive (e.g. every remote unreachable from the start).
-            let wake = ledger.next_wake();
+            let wake = if master.ledger.in_flight_len() < pipeline_depth {
+                master.ledger.next_wake()
+            } else {
+                master.ledger.next_deadline()
+            };
             let wake = if remote_workers > 0 && !degraded {
                 let poll = Instant::now() + Duration::from_millis(100);
                 Some(wake.map_or(poll, |w| w.min(poll)))
@@ -1497,91 +1129,14 @@ impl Engine {
                     }
                 },
             };
-
             match received {
-                Some((id, genome, measurement)) => {
-                    let job = match ledger.take_result(id as u64) {
-                        ResultClass::Stale => {
-                            // A timed-out dispatch finally reported;
-                            // its verdict was already decided.
-                            rt::trace!(self.obs, "late_result", id = id);
-                            continue;
-                        }
-                        ResultClass::Fresh(job) => job,
-                        ResultClass::Unknown => unreachable!("result for in-flight id"),
-                    };
-                    let op = job.payload.1;
-                    c.total_eval_time += measurement.eval_time_s;
-                    c.train_time += measurement.train_time_s;
-                    c.hw_time += measurement.hw_time_s;
-                    eval_hist.record(measurement.eval_time_s);
-                    if measurement.failure_kind() == Some(FailureKind::Transient)
-                        && job.attempt < cfg.max_retries
-                    {
-                        let key = genome.cache_key();
-                        let attempt = job.attempt + 1;
-                        c.retry_count += 1;
-                        retry_counter.inc();
-                        ledger.schedule_retry(
-                            Instant::now() + backoff_delay(&cfg, key, attempt),
-                            attempt,
-                            (genome, op),
-                        );
-                    } else {
-                        finalize!(id, genome, measurement, op);
-                    }
-                }
-                None => {
-                    // Deadline pass: abandon every overdue dispatch.
-                    // The ledger marks each id stale so its late
-                    // result (if one ever arrives) drops on receipt.
-                    let now = Instant::now();
-                    for (id, job) in ledger.expire(now) {
-                        let id = id as usize;
-                        let (genome, op) = job.payload;
-                        c.timeout_count += 1;
-                        timeout_counter.inc();
-                        rt::warn!(
-                            self.obs,
-                            "eval_timeout",
-                            id = id,
-                            attempt = job.attempt,
-                        );
-                        if let Some(slot) = supervisor.claimed_slot(id as u64) {
-                            // The slot is wedged inside this job:
-                            // abandon its thread and start a fresh one.
-                            supervisor.record_stall();
-                            supervisor.respawn(slot);
-                            c.respawn_count += 1;
-                            respawn_counter.inc();
-                            rt::warn!(self.obs, "worker_respawn", slot = slot, id = id);
-                        }
-                        let key = genome.cache_key();
-                        if job.attempt < cfg.max_retries {
-                            let attempt = job.attempt + 1;
-                            c.retry_count += 1;
-                            retry_counter.inc();
-                            ledger.schedule_retry(
-                                now + backoff_delay(&cfg, key, attempt),
-                                attempt,
-                                (genome, op),
-                            );
-                        } else {
-                            let mut m =
-                                Measurement::infeasible(InfeasibleReason::EvalTimeout);
-                            // The wait itself is wall clock spent on
-                            // this candidate.
-                            m.eval_time_s =
-                                cfg.eval_timeout.map_or(0.0, |t| t.as_secs_f64());
-                            c.total_eval_time += m.eval_time_s;
-                            finalize!(id, genome, m, op);
-                        }
-                    }
-                }
+                Some((id, measurement)) => master.on_result(id, measurement),
+                None => master.expire_overdue(&mut supervisor),
             }
         }
-        drop(req_tx); // idle workers drain and exit
-        drop(remote_txs); // retired slots stop bouncing and acknowledge
+        // Idle workers drain and exit; retired slots stop forwarding
+        // and acknowledge.
+        drop(router);
 
         // Remote slots answer the drain by killing their sessions — a
         // best-effort `kill_all` so workers wind down now instead of
@@ -1600,72 +1155,24 @@ impl Engine {
             }
         }
 
-        let models_evaluated = trace.len();
         if !halted {
             rt::info!(
                 self.obs,
                 "search_end",
-                models_evaluated = models_evaluated,
-                cache_hits = c.cache_hits,
-                infeasible = c.infeasible_count,
+                models_evaluated = master.trace.len(),
+                cache_hits = master.counters.cache_hits,
+                infeasible = master.counters.infeasible_count,
             );
-            if let Some(policy) = &self.checkpoint {
-                let state = build_checkpoint(
-                    &cfg, &rng, &c, tracker.operator_totals(),
-                    prior_wall + start.elapsed().as_secs_f64(),
-                    &seeds, &population, &trace, &cache,
-                    &ledger, &pending_restore,
-                );
-                save_checkpoint(policy, &state, &self.obs, &self.status);
-            }
+            master.save_checkpoint();
         }
-        self.status.note_counters(
-            trace.len(),
-            c.cache_hits,
-            c.infeasible_count,
-            c.retry_count,
-            c.timeout_count,
-            c.respawn_count,
-        );
+        self.status
+            .note_counters(master.trace.len(), &master.counters);
         self.status.note_done();
         self.obs.flush();
-        let stats = EngineStats {
-            models_evaluated,
-            cache_hits: c.cache_hits,
-            total_eval_time_s: c.total_eval_time,
-            avg_eval_time_s: if models_evaluated > 0 {
-                c.total_eval_time / models_evaluated as f64
-            } else {
-                0.0
-            },
-            wall_time_s: prior_wall + start.elapsed().as_secs_f64(),
-            infeasible_count: c.infeasible_count,
-            train_time_s: c.train_time,
-            hw_time_s: c.hw_time,
-            retry_count: c.retry_count,
-            timeout_count: c.timeout_count,
-            respawn_count: c.respawn_count,
-            worker_latency: self.cluster.as_ref().map_or_else(Vec::new, |plan| {
-                plan.options
-                    .workers
-                    .iter()
-                    .map(|addr| {
-                        let h = self
-                            .obs
-                            .histogram_with("cluster.worker_eval_s", &[("worker", addr.as_str())]);
-                        WorkerLatency {
-                            addr: addr.clone(),
-                            jobs: h.count(),
-                            p50_s: h.quantile(0.5),
-                            p95_s: h.quantile(0.95),
-                        }
-                    })
-                    .collect()
-            }),
-        };
+        let stats = master.stats();
         EngineOutcome {
-            population,
-            trace,
+            population: master.population,
+            trace: master.trace,
             stats,
             halted,
         }
@@ -1675,7 +1182,7 @@ impl Engine {
     /// warning on a detector rising edge). Every field is derived from
     /// deterministic engine state — no clocks — so seeded traces stay
     /// byte-reproducible with analytics on.
-    fn emit_epoch(&self, snap: &crate::analytics::PopulationSnapshot, stall_fired: bool) {
+    fn emit_epoch(&self, snap: &PopulationSnapshot, stall_fired: bool) {
         rt::info!(
             self.obs,
             "epoch",
@@ -1866,6 +1373,495 @@ impl Engine {
             winner_fitness = winner.fitness,
         );
         winner
+    }
+}
+
+/// The master loop's mutable state, owned by one [`Engine::run_inner`]
+/// call. The paper's master breeds, dispatches, dedups, and admits;
+/// each of those is a method here, and a checkpoint is a snapshot of
+/// exactly these fields.
+struct Master<'e> {
+    engine: &'e Engine,
+    rng: StdRng,
+    population: Vec<Evaluated>,
+    /// Every unique evaluation, in completion order.
+    trace: Vec<Evaluated>,
+    /// Final verdicts by genome cache key (the dedup cache).
+    cache: HashMap<u64, Measurement>,
+    /// Initial-population genomes not yet submitted, next one last.
+    seeds: Vec<CandidateGenome>,
+    counters: Counters,
+    /// In-flight dispatches and the one retry queue — which also holds
+    /// work restored from a checkpoint.
+    ledger: EngineLedger,
+    tracker: EpochTracker,
+    /// Wall-clock seconds spent before this run started (resumes).
+    prior_wall: f64,
+    start: Instant,
+    metrics: Instruments,
+}
+
+impl<'e> Master<'e> {
+    /// A fresh master (seeding the initial population) or one restored
+    /// from a checkpoint. Restored pending work — in flight or awaiting
+    /// retry when the checkpoint was written — re-enters the ledger's
+    /// retry queue ready immediately; its unique budget is already
+    /// counted.
+    fn new(engine: &'e Engine, restored: Option<CheckpointState>) -> Self {
+        let cfg = engine.config;
+        let mut master = Master {
+            engine,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            population: Vec::with_capacity(cfg.population),
+            trace: Vec::new(),
+            cache: HashMap::new(),
+            seeds: Vec::new(),
+            counters: Counters::default(),
+            ledger: EngineLedger::new(),
+            tracker: EpochTracker::new(cfg.analytics, cfg.population),
+            prior_wall: 0.0,
+            start: Instant::now(),
+            metrics: Instruments::new(&engine.obs),
+        };
+        match restored {
+            Some(state) => {
+                let revive = |(genome, measurement): (CandidateGenome, Measurement)| {
+                    // Fitness is recomputed rather than serialized:
+                    // infeasible candidates carry -inf, which JSON
+                    // cannot represent.
+                    let fitness = engine.objectives.scalar(&measurement);
+                    Evaluated {
+                        genome,
+                        measurement,
+                        fitness,
+                    }
+                };
+                master.rng = StdRng::from_raw_state(state.rng_state, state.rng_inc);
+                master.population = state.population.into_iter().map(revive).collect();
+                master.trace = state.trace.into_iter().map(revive).collect();
+                // Rebuild the epoch tracker by silently replaying the
+                // restored trace in epoch-sized chunks: archive, best,
+                // and stall history end up exactly as the uninterrupted
+                // run's, so the next epoch event is bit-identical.
+                master.tracker.set_operator_totals(state.op_counters);
+                master.tracker.replay(master.trace.iter().map(|e| {
+                    let oriented = if e.fitness.is_finite() {
+                        engine.objectives.oriented_values(&e.measurement)
+                    } else {
+                        Vec::new()
+                    };
+                    (oriented, e.fitness)
+                }));
+                master.cache = state.cache.into_iter().collect();
+                master.seeds = state.seeds_remaining;
+                master.counters = state.counters;
+                master.prior_wall = state.wall_time_s;
+                for job in state.pending {
+                    master
+                        .ledger
+                        .schedule_retry(master.start, job.attempt, (job.genome, job.op));
+                }
+                // Trace level on purpose: the resumed run's Debug-level
+                // JSONL must continue the interrupted file byte-for-byte,
+                // so no extra Debug+ event may appear here (and no second
+                // search_start).
+                rt::trace!(engine.obs, "resume", evaluations_done = master.trace.len());
+            }
+            None => {
+                rt::info!(
+                    engine.obs,
+                    "search_start",
+                    target = engine.evaluator.target_name(),
+                    population = cfg.population,
+                    evaluations = cfg.evaluations,
+                    tournament = cfg.tournament,
+                    seed = cfg.seed,
+                    threads = cfg.threads,
+                    selection = match cfg.selection {
+                        SelectionMode::WeightedScalar => "weighted-scalar",
+                        SelectionMode::Nsga2 => "nsga2",
+                    },
+                );
+                master.seeds = (0..cfg.population.min(cfg.evaluations))
+                    .map(|_| engine.space.sample(&mut master.rng))
+                    .collect();
+                master.seeds.reverse(); // pop() takes them in creation order
+            }
+        }
+        master
+    }
+
+    fn wall_time_s(&self) -> f64 {
+        self.prior_wall + self.start.elapsed().as_secs_f64()
+    }
+
+    /// Records a job in the ledger under the next dispatch id and hands
+    /// it to a slot.
+    fn dispatch(
+        &mut self,
+        router: &Router,
+        genome: CandidateGenome,
+        attempt: usize,
+        op: OperatorKind,
+    ) -> usize {
+        let id = self.counters.next_id;
+        self.counters.next_id += 1;
+        let deadline = self.engine.config.eval_timeout.map(|t| Instant::now() + t);
+        self.ledger
+            .dispatch(id as u64, (genome.clone(), op), attempt, deadline);
+        router.route(id, genome);
+        id
+    }
+
+    /// Tops the pipeline up to `depth` in-flight jobs: retries whose
+    /// backoff has elapsed first, then fresh candidates — remaining
+    /// seeds, then bred children. Fresh duplicates are served from the
+    /// dedup cache on the spot, at no budget and no worker round-trip.
+    fn fill(&mut self, router: &Router, depth: usize) {
+        let engine = self.engine;
+        let cfg = engine.config;
+        let now = Instant::now();
+        while self.ledger.in_flight_len() < depth {
+            let Some((attempt, (genome, op))) = self.ledger.pop_ready_retry(now) else {
+                break;
+            };
+            let key = format!("{:016x}", genome.cache_key());
+            let id = self.dispatch(router, genome, attempt, op);
+            // Attempt 0 is restored work that never reported.
+            if attempt == 0 {
+                rt::debug!(engine.obs, "submit", id = id, key = key);
+            } else {
+                rt::warn!(engine.obs, "retry", id = id, attempt = attempt, key = key);
+            }
+        }
+        let max_attempts = cfg.evaluations * Engine::MAX_ATTEMPT_FACTOR;
+        while self.ledger.in_flight_len() < depth
+            && self.counters.submitted_unique < cfg.evaluations
+            && self.counters.attempts < max_attempts
+        {
+            let (genome, op) = {
+                // Scoped to candidate selection only: the span must
+                // close before the job is handed to the pool, so
+                // master-side clock reads never overlap a running
+                // worker (which would make ticks-clock profiles depend
+                // on thread interleaving).
+                let _prof = rt::prof_span!("dispatch");
+                match self.seeds.pop() {
+                    Some(g) => (g, OperatorKind::Seed),
+                    None => engine.breed(&self.population, &mut self.rng),
+                }
+            };
+            self.counters.attempts += 1;
+            let key = genome.cache_key();
+            if let Some(cached) = self.cache.get(&key) {
+                self.counters.cache_hits += 1;
+                self.metrics.cache_hits.inc();
+                rt::debug!(engine.obs, "cache_hit", key = format!("{key:016x}"));
+                let (_, entered) =
+                    engine.admit(genome, cached.clone(), &mut self.population, &mut self.rng);
+                // A cached duplicate still says something about its
+                // operator's usefulness; it is not re-appended to the
+                // trace, since Table III counts unique models.
+                self.tracker.record_op(op, entered);
+                continue;
+            }
+            // Emit before handing the genome to the pool: with one
+            // thread the master then blocks on recv, so the worker's
+            // own events always land after this line — the property
+            // that makes seeded traces replayable.
+            rt::debug!(
+                engine.obs,
+                "submit",
+                id = self.counters.next_id,
+                key = format!("{key:016x}"),
+            );
+            self.counters.submitted_unique += 1;
+            self.dispatch(router, genome, 0, op);
+        }
+    }
+
+    /// Handles a slot's report for dispatch `id`: a stale report drops,
+    /// a transient failure with retry budget left is retried, and
+    /// anything else is finalized.
+    fn on_result(&mut self, id: usize, measurement: Measurement) {
+        let job = match self.ledger.take_result(id as u64) {
+            ResultClass::Stale => {
+                // A timed-out dispatch finally reported; its verdict
+                // was already decided.
+                rt::trace!(self.engine.obs, "late_result", id = id);
+                return;
+            }
+            ResultClass::Fresh(job) => job,
+            ResultClass::Unknown => unreachable!("result for in-flight id"),
+        };
+        self.counters.total_eval_time_s += measurement.eval_time_s;
+        self.counters.train_time_s += measurement.train_time_s;
+        self.counters.hw_time_s += measurement.hw_time_s;
+        self.metrics.eval_time.record(measurement.eval_time_s);
+        if measurement.failure_kind() == Some(FailureKind::Transient)
+            && job.attempt < self.engine.config.max_retries
+        {
+            self.schedule_retry(job, Instant::now());
+        } else {
+            let (genome, op) = job.payload;
+            self.finalize(id, genome, measurement, op);
+        }
+    }
+
+    /// Deadline pass: abandons every overdue dispatch (the ledger marks
+    /// each id stale so a late result drops on receipt), respawns the
+    /// slot wedged inside it, and retries the job or finalizes it as
+    /// timed out.
+    fn expire_overdue(&mut self, supervisor: &mut Supervisor) {
+        let engine = self.engine;
+        let now = Instant::now();
+        for (id, job) in self.ledger.expire(now) {
+            let id = id as usize;
+            self.counters.timeout_count += 1;
+            self.metrics.timeouts.inc();
+            rt::warn!(engine.obs, "eval_timeout", id = id, attempt = job.attempt);
+            if let Some(slot) = supervisor.claimed_slot(id as u64) {
+                supervisor.record_stall();
+                supervisor.respawn(slot);
+                self.counters.respawn_count += 1;
+                self.metrics.respawns.inc();
+                rt::warn!(engine.obs, "worker_respawn", slot = slot, id = id);
+            }
+            if job.attempt < engine.config.max_retries {
+                self.schedule_retry(job, now);
+            } else {
+                let mut m = Measurement::infeasible(InfeasibleReason::EvalTimeout);
+                // The wait itself is wall clock spent on this candidate.
+                m.eval_time_s = engine.config.eval_timeout.map_or(0.0, |t| t.as_secs_f64());
+                self.counters.total_eval_time_s += m.eval_time_s;
+                let (genome, op) = job.payload;
+                self.finalize(id, genome, m, op);
+            }
+        }
+    }
+
+    /// Queues the next attempt of a transiently failed job behind its
+    /// seeded backoff.
+    fn schedule_retry(&mut self, job: Job<JobPayload>, now: Instant) {
+        let attempt = job.attempt + 1;
+        let delay = backoff_delay(&self.engine.config, job.payload.0.cache_key(), attempt);
+        self.counters.retry_count += 1;
+        self.metrics.retries.inc();
+        self.ledger
+            .schedule_retry(now + delay, attempt, job.payload);
+    }
+
+    /// Admits a final verdict: counts and caches it (transient verdicts
+    /// — an exhausted retry budget — stay out of the cache, so a later
+    /// duplicate gets a fresh chance), runs steady-state replacement,
+    /// appends it to the trace, and fires whatever the new trace length
+    /// makes due: an epoch snapshot, the status update, a periodic
+    /// checkpoint.
+    fn finalize(
+        &mut self,
+        id: usize,
+        genome: CandidateGenome,
+        measurement: Measurement,
+        op: OperatorKind,
+    ) {
+        let engine = self.engine;
+        self.metrics.evaluated.inc();
+        if !measurement.hw.is_feasible() {
+            self.counters.infeasible_count += 1;
+            self.metrics.infeasible.inc();
+        }
+        if measurement.failure_kind() != Some(FailureKind::Transient) {
+            self.cache.insert(genome.cache_key(), measurement.clone());
+        }
+        let (eval, entered) =
+            engine.admit(genome, measurement, &mut self.population, &mut self.rng);
+        self.tracker.record_op(op, entered);
+        if eval.fitness.is_finite() {
+            self.tracker.observe(
+                &engine.objectives.oriented_values(&eval.measurement),
+                eval.fitness,
+            );
+        }
+        rt::info!(
+            engine.obs,
+            "evaluated",
+            id = id,
+            accuracy = eval.measurement.accuracy,
+            fitness = eval.fitness,
+            feasible = eval.measurement.hw.is_feasible(),
+        );
+        self.trace.push(eval);
+        if self.tracker.should_snapshot(self.trace.len()) {
+            let (snap, stall_fired) =
+                self.tracker
+                    .snapshot(self.trace.len(), &self.population, self.counters.cache_hits);
+            engine.emit_epoch(&snap, stall_fired);
+            self.metrics.publish(&snap, &engine.obs);
+            engine.status.note_snapshot(snap);
+        }
+        engine
+            .status
+            .note_counters(self.trace.len(), &self.counters);
+        if engine
+            .checkpoint
+            .as_ref()
+            .is_some_and(|policy| self.trace.len() % policy.every == 0)
+        {
+            self.save_checkpoint();
+        }
+    }
+
+    /// Folds an island migrant into the population. Deliberately
+    /// outside the trace/budget/rng streams: migrants spend worker-side
+    /// compute only, replace the current worst member
+    /// deterministically, and seed the dedup cache so the coordinator
+    /// never re-evaluates one.
+    fn fold_migrant(&mut self, migrant: Migrant) {
+        let engine = self.engine;
+        let key = migrant.genome.cache_key();
+        if self.cache.contains_key(&key) {
+            return;
+        }
+        self.cache.insert(key, migrant.measurement.clone());
+        let fitness = engine.objectives.scalar(&migrant.measurement);
+        self.metrics.migrants.inc();
+        rt::info!(
+            engine.obs,
+            "migration",
+            slot = migrant.slot,
+            key = format!("{key:016x}"),
+            fitness = fitness,
+            accuracy = migrant.measurement.accuracy,
+        );
+        if !fitness.is_finite() {
+            return;
+        }
+        let eval = Evaluated {
+            genome: migrant.genome,
+            measurement: migrant.measurement,
+            fitness,
+        };
+        let population = &mut self.population;
+        if population.len() < engine.config.population {
+            population.push(eval);
+        } else if let Some(worst) = (0..population.len()).min_by(|&a, &b| {
+            population[a]
+                .fitness
+                .partial_cmp(&population[b].fitness)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        }) {
+            if population[worst].fitness < eval.fitness {
+                population[worst] = eval;
+            }
+        }
+    }
+
+    /// Snapshots the master state. Pending work — in-flight jobs in id
+    /// order, then queued retries in FIFO order — lands in `pending`,
+    /// so nothing is lost.
+    fn checkpoint(&self) -> CheckpointState {
+        let cfg = &self.engine.config;
+        let (rng_state, rng_inc) = self.rng.raw_state();
+        let pairs = |v: &[Evaluated]| {
+            v.iter()
+                .map(|e| (e.genome.clone(), e.measurement.clone()))
+                .collect()
+        };
+        let mut cache: Vec<(u64, Measurement)> =
+            self.cache.iter().map(|(&k, m)| (k, m.clone())).collect();
+        cache.sort_by_key(|&(k, _)| k);
+        CheckpointState {
+            version: crate::checkpoint::FORMAT_VERSION,
+            seed: cfg.seed,
+            evaluations: cfg.evaluations,
+            population_cap: cfg.population,
+            rng_state,
+            rng_inc,
+            counters: self.counters,
+            op_counters: self.tracker.operator_totals(),
+            wall_time_s: self.wall_time_s(),
+            seeds_remaining: self.seeds.clone(),
+            population: pairs(&self.population),
+            trace: pairs(&self.trace),
+            cache,
+            pending: self
+                .ledger
+                .pending_jobs()
+                .into_iter()
+                .map(|(attempt, (genome, op))| PendingJob {
+                    attempt,
+                    genome: genome.clone(),
+                    op: *op,
+                })
+                .collect(),
+        }
+    }
+
+    /// Writes a checkpoint when a policy is attached, downgrading
+    /// failure to a warning event — a full disk must not kill a search
+    /// that is otherwise healthy. The status cell learns about
+    /// successful writes so `/status` can report checkpoint age.
+    fn save_checkpoint(&self) {
+        let engine = self.engine;
+        let Some(policy) = &engine.checkpoint else {
+            return;
+        };
+        let state = self.checkpoint();
+        match state.save(&policy.path) {
+            Ok(()) => {
+                engine.status.note_checkpoint();
+                rt::trace!(
+                    engine.obs,
+                    "checkpoint",
+                    evaluations_done = state.trace.len(),
+                    path = policy.path.display().to_string(),
+                );
+            }
+            Err(e) => rt::warn!(engine.obs, "checkpoint_error", error = e.to_string()),
+        }
+    }
+
+    /// The run's statistics in the shape of the paper's Table III.
+    fn stats(&self) -> EngineStats {
+        let c = &self.counters;
+        let models_evaluated = self.trace.len();
+        EngineStats {
+            models_evaluated,
+            cache_hits: c.cache_hits,
+            total_eval_time_s: c.total_eval_time_s,
+            avg_eval_time_s: if models_evaluated > 0 {
+                c.total_eval_time_s / models_evaluated as f64
+            } else {
+                0.0
+            },
+            wall_time_s: self.wall_time_s(),
+            infeasible_count: c.infeasible_count,
+            train_time_s: c.train_time_s,
+            hw_time_s: c.hw_time_s,
+            retry_count: c.retry_count,
+            timeout_count: c.timeout_count,
+            respawn_count: c.respawn_count,
+            // Per-remote-worker estimates, read from the histograms
+            // the remote slots record (empty on local runs).
+            worker_latency: self.engine.cluster.as_ref().map_or_else(Vec::new, |plan| {
+                plan.options
+                    .workers
+                    .iter()
+                    .map(|addr| {
+                        let h = self.engine.obs.histogram_with(
+                            "cluster.worker_eval_s",
+                            &[("worker", addr.as_str())],
+                        );
+                        WorkerLatency {
+                            addr: addr.clone(),
+                            jobs: h.count(),
+                            p50_s: h.quantile(0.5),
+                            p95_s: h.quantile(0.95),
+                        }
+                    })
+                    .collect()
+            }),
+        }
     }
 }
 
@@ -2472,6 +2468,47 @@ mod tests {
         assert_eq!(out.stats.models_evaluated, 8);
         assert_eq!(out.stats.retry_count, 1);
         assert!(out.trace.iter().all(|e| e.measurement.hw.is_feasible()));
+    }
+
+    /// CPU seconds (user + system) the calling thread has consumed,
+    /// from `/proc/thread-self/stat` (fields 14 and 15, in USER_HZ =
+    /// 1/100 s ticks).
+    #[cfg(target_os = "linux")]
+    fn thread_cpu_s() -> f64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("thread stat");
+        // Fields after the parenthesised command name start at field 3.
+        let fields: Vec<&str> = stat[stat.rfind(')').expect("comm field") + 1..]
+            .split_whitespace()
+            .collect();
+        let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+        ticks as f64 / 100.0
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn master_sleeps_while_every_slot_is_busy() {
+        // Call 0 fails transiently and its retry becomes ready within
+        // milliseconds, but by then the only slot is stalled inside
+        // call 1. The master must block until that result arrives
+        // instead of spinning on the retry's already-past ready time.
+        let stall = Duration::from_millis(500);
+        let schedule = FaultSchedule::new()
+            .at(0, FaultKind::Transient)
+            .at(1, FaultKind::Stall(stall));
+        let cfg = EvolutionConfig {
+            retry_backoff: Duration::from_millis(20),
+            ..fault_cfg(2, 7)
+        };
+        let engine = faulty_engine(schedule, cfg);
+        let before = thread_cpu_s();
+        let out = engine.run();
+        let burned = thread_cpu_s() - before;
+        assert_eq!(out.stats.models_evaluated, 2);
+        assert_eq!(out.stats.retry_count, 1);
+        assert!(
+            burned < stall.as_secs_f64() / 4.0,
+            "master thread burned {burned:.3}s of CPU during a {stall:?} stall"
+        );
     }
 
     #[test]

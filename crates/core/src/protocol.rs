@@ -185,11 +185,17 @@ impl<P, T: Ord + Copy> DispatchLedger<P, T> {
     /// in-flight deadline or retry-ready time. `None` when the caller
     /// can block indefinitely on the result channel.
     pub fn next_wake(&self) -> Option<T> {
-        self.in_flight
-            .values()
-            .filter_map(|e| e.deadline)
+        self.next_deadline()
+            .into_iter()
             .chain(self.retry_q.iter().map(|&(ready, _, _)| ready))
             .min()
+    }
+
+    /// The soonest in-flight deadline, ignoring queued retries — the
+    /// only wake a caller needs while every slot is busy, since a ready
+    /// retry cannot be dispatched until a slot frees up.
+    pub fn next_deadline(&self) -> Option<T> {
+        self.in_flight.values().filter_map(|e| e.deadline).min()
     }
 
     /// Number of dispatches awaiting results.
@@ -282,6 +288,7 @@ mod tests {
         assert_eq!(ledger.next_wake(), Some(300));
         ledger.schedule_retry(120, 1, "r");
         assert_eq!(ledger.next_wake(), Some(120));
+        assert_eq!(ledger.next_deadline(), Some(300));
     }
 
     #[test]

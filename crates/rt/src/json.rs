@@ -589,9 +589,104 @@ tuple_to_json! {
     (A/0, B/1, C/2, D/3)
 }
 
+/// A typed field read that failed. The message names the field and
+/// what was wrong with it; decoders convert it into their own error
+/// type (a checkpoint schema error, a wire protocol error).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError(pub String);
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+/// The string at `key` of object `j`.
+pub fn get_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, FieldError> {
+    j.get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| FieldError(format!("missing or non-string field {key:?}")))
+}
+
+/// The number at `key` of object `j`.
+pub fn get_f64(j: &Json, key: &str) -> Result<f64, FieldError> {
+    j.get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| FieldError(format!("missing or non-numeric field {key:?}")))
+}
+
+/// The non-negative integer at `key` of object `j`.
+pub fn get_usize(j: &Json, key: &str) -> Result<usize, FieldError> {
+    let v = get_f64(j, key)?;
+    if v < 0.0 || v.fract() != 0.0 {
+        return Err(FieldError(format!(
+            "field {key:?} is not a non-negative integer"
+        )));
+    }
+    Ok(v as usize)
+}
+
+/// The boolean at `key` of object `j`.
+pub fn get_bool(j: &Json, key: &str) -> Result<bool, FieldError> {
+    j.get(key)
+        .and_then(Json::as_bool)
+        .ok_or_else(|| FieldError(format!("missing or non-boolean field {key:?}")))
+}
+
+/// The array at `key` of object `j`.
+pub fn get_array<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], FieldError> {
+    j.get(key)
+        .and_then(Json::as_array)
+        .ok_or_else(|| FieldError(format!("missing or non-array field {key:?}")))
+}
+
+/// A 64-bit integer stored as a hex string at `key` (JSON numbers lose
+/// integers above 2^53).
+pub fn get_hex_u64(j: &Json, key: &str) -> Result<u64, FieldError> {
+    u64::from_str_radix(get_str(j, key)?, 16)
+        .map_err(|_| FieldError(format!("field {key:?} is not a 64-bit hex string")))
+}
+
+/// A 128-bit integer stored as a hex string at `key`.
+pub fn get_hex_u128(j: &Json, key: &str) -> Result<u128, FieldError> {
+    u128::from_str_radix(get_str(j, key)?, 16)
+        .map_err(|_| FieldError(format!("field {key:?} is not a 128-bit hex string")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::{Json, ToJson};
+
+    #[test]
+    fn field_readers_name_the_field() {
+        let j = Json::parse(r#"{"n": 3, "f": 1.5, "s": "ff", "b": true, "a": [1]}"#).unwrap();
+        assert_eq!(super::get_usize(&j, "n"), Ok(3));
+        assert_eq!(super::get_f64(&j, "f"), Ok(1.5));
+        assert_eq!(super::get_str(&j, "s"), Ok("ff"));
+        assert_eq!(super::get_hex_u64(&j, "s"), Ok(255));
+        assert_eq!(super::get_hex_u128(&j, "s"), Ok(255));
+        assert_eq!(super::get_bool(&j, "b"), Ok(true));
+        assert_eq!(super::get_array(&j, "a").map(<[Json]>::len), Ok(1));
+        let err = |r: Result<(), super::FieldError>| r.unwrap_err().to_string();
+        assert_eq!(
+            err(super::get_usize(&j, "f").map(drop)),
+            "field \"f\" is not a non-negative integer"
+        );
+        assert_eq!(
+            err(super::get_str(&j, "n").map(drop)),
+            "missing or non-string field \"n\""
+        );
+        assert_eq!(
+            err(super::get_hex_u64(&j, "b").map(drop)),
+            "missing or non-string field \"b\""
+        );
+        assert_eq!(
+            err(super::get_bool(&j, "missing").map(drop)),
+            "missing or non-boolean field \"missing\""
+        );
+    }
 
     #[test]
     fn scalars_round_trip() {

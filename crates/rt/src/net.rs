@@ -101,6 +101,13 @@ impl From<io::Error> for NetError {
     }
 }
 
+/// A malformed field in a received frame is a protocol error.
+impl From<json::FieldError> for NetError {
+    fn from(e: json::FieldError) -> Self {
+        NetError::Protocol(e.0)
+    }
+}
+
 impl NetError {
     /// Whether a retry (reconnect, backoff, re-dispatch) may plausibly
     /// succeed. Environmental failures — resets, refusals, timeouts, a
