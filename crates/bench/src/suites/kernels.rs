@@ -5,7 +5,7 @@
 //! This is also the suite CI's `bench-gate` job runs: it is cheap
 //! enough to measure on every push.
 
-use ecad_mlp::{Activation, Mlp, MlpTopology};
+use ecad_mlp::{Activation, Adam, Mlp, MlpTopology};
 use ecad_tensor::{gemm, init, ops, Matrix};
 use rt::bench::{black_box, BenchmarkId, Criterion};
 use rt::rand::rngs::StdRng;
@@ -20,6 +20,7 @@ pub fn register(c: &mut Criterion) {
     bench_backprop_kernels(c);
     bench_softmax_and_loss(c);
     bench_mlp_train_step(c);
+    bench_adam_step(c);
     bench_matrix_ops(c);
 }
 
@@ -136,6 +137,32 @@ fn bench_mlp_train_step(c: &mut Criterion) {
     });
     c.bench_function("mlp/har_backprop_batch32", |b| {
         b.iter(|| net.backprop(black_box(&x), black_box(&t)))
+    });
+    // The whole minibatch step the trainer takes: backprop, then Adam
+    // with `TrainConfig::fast()`'s weight decay.
+    let mut train_net = net.clone();
+    let mut adam = Adam::new(1e-3, &train_net);
+    c.bench_function("mlp/har_train_step_batch32", |b| {
+        b.iter(|| {
+            let (grads, loss) = train_net.backprop(black_box(&x), black_box(&t));
+            adam.step_with_decay(&mut train_net, &grads, 1e-4);
+            loss
+        })
+    });
+}
+
+/// The optimizer alone on an MNIST-shaped first layer (784 x 128
+/// weights plus bias), with fixed gradients.
+fn bench_adam_step(c: &mut Criterion) {
+    let topo = MlpTopology::builder(784, 128).build();
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut net = Mlp::from_topology(&topo, &mut rng);
+    let x = init::uniform(&mut rng, 32, 784, 1.0);
+    let labels: Vec<usize> = (0..32).map(|i| i % 128).collect();
+    let (grads, _) = net.backprop(&x, &ops::one_hot(&labels, 128));
+    let mut adam = Adam::new(1e-3, &net);
+    c.bench_function("mlp/adam_step_784x128", |b| {
+        b.iter(|| adam.step_with_decay(&mut net, black_box(&grads), 1e-4))
     });
 }
 

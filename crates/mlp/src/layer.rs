@@ -106,21 +106,35 @@ impl DenseLayer {
     ///
     /// Panics if the shapes are inconsistent with the forward pass.
     pub fn backward(&self, x: &Matrix, y: &Matrix, d_out: &Matrix) -> (Matrix, LayerGrads) {
+        let (dz, grads) = self.param_grads(x, y, d_out);
+        (self.input_delta(&dz), grads)
+    }
+
+    /// The parameter half of [`DenseLayer::backward`]: returns `dZ` (the
+    /// upstream gradient pushed through the activation) and this
+    /// layer's parameter gradients, without the `dX = dZ Wᵀ` product.
+    /// Backprop skips that product for the input layer, whose `dX`
+    /// nothing consumes.
+    pub(crate) fn param_grads(
+        &self,
+        x: &Matrix,
+        y: &Matrix,
+        d_out: &Matrix,
+    ) -> (Matrix, LayerGrads) {
         // dZ = dY * act'(y), elementwise.
         let act = self.activation;
         let dz = d_out
             .zip_with(y, "backward", |g, yv| g * act.derivative_from_output(yv))
             .expect("forward/backward shape mismatch");
-        // dW = X^T dZ ; db = col_sums(dZ) ; dX = dZ W^T.
+        // dW = X^T dZ ; db = col_sums(dZ).
         let d_weights = gemm::matmul_at_b(x, &dz);
         let d_bias = if self.use_bias {
             ops::col_sums(&dz)
         } else {
             Vec::new()
         };
-        let d_input = gemm::matmul_a_bt(&dz, &self.weights);
         (
-            d_input,
+            dz,
             LayerGrads {
                 weights: d_weights,
                 bias: d_bias,
@@ -128,10 +142,23 @@ impl DenseLayer {
         )
     }
 
+    /// The input half of [`DenseLayer::backward`]: `dX = dZ Wᵀ`.
+    pub(crate) fn input_delta(&self, dz: &Matrix) -> Matrix {
+        gemm::matmul_a_bt(dz, &self.weights)
+    }
+
+    /// Mutably borrows the weights (row-major) and the bias, for the
+    /// optimizer's in-place update.
+    pub(crate) fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.weights.as_mut_slice(), &mut self.bias)
+    }
+
     /// Applies a parameter update: `w -= step_w`, `b -= step_b`.
     ///
-    /// The optimizer computes the step (which already includes the
-    /// learning rate and any momentum/Adam scaling).
+    /// The step already includes the learning rate and any
+    /// momentum/Adam scaling. The optimizers update parameters in place
+    /// and do not call this; it is the public way to nudge a layer's
+    /// parameters (e.g. for a numerical gradient check).
     ///
     /// # Panics
     ///

@@ -128,13 +128,15 @@ impl Mlp {
         let mut grads: Vec<LayerGrads> = Vec::with_capacity(self.layers.len());
         // The output head has Identity activation, so its backward's
         // activation-derivative factor is 1 and `delta` passes through
-        // unchanged; hidden layers apply their own derivative.
+        // unchanged; hidden layers apply their own derivative. The input
+        // layer's `dX` would be the gradient w.r.t. the data, which
+        // nothing consumes, so its `dZ Wᵀ` product is skipped.
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let input = &acts[i];
-            let output = &acts[i + 1];
-            let (d_in, g) = layer.backward(input, output, &delta);
+            let (dz, g) = layer.param_grads(&acts[i], &acts[i + 1], &delta);
             grads.push(g);
-            delta = d_in;
+            if i > 0 {
+                delta = layer.input_delta(&dz);
+            }
         }
         grads.reverse();
         (grads, loss)

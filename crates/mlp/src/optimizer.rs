@@ -3,8 +3,13 @@
 //! Two optimizers cover the candidates' needs: classic SGD with momentum
 //! (robust, cheap) and Adam (fast convergence on the small, noisy
 //! tabular benchmarks). Both keep per-parameter state aligned with the
-//! network's layers and produce *steps* that
-//! [`crate::DenseLayer::apply_update`] subtracts from the parameters.
+//! network's layers and update the parameters in place: one pass per
+//! parameter slice applies weight decay, advances the optimizer state
+//! and subtracts the step, element by element. Each element goes
+//! through the same individually rounded operations, in the same
+//! order, as the separate decay / step / `w - step` passes these
+//! replaced, so training results are bit-identical to them (DESIGN.md
+//! §19, "Training step").
 
 use ecad_tensor::Matrix;
 
@@ -64,12 +69,33 @@ impl OptimizerState {
         }
     }
 
-    pub(crate) fn step(&mut self, net: &mut Mlp, grads: &[LayerGrads]) {
+    /// One update with L2 `weight_decay` folded into every weight
+    /// gradient (`0.0` disables it).
+    pub(crate) fn step(&mut self, net: &mut Mlp, grads: &[LayerGrads], weight_decay: f32) {
         match self {
-            OptimizerState::Sgd(s) => s.step(net, grads),
-            OptimizerState::Adam(a) => a.step(net, grads),
+            OptimizerState::Sgd(s) => s.step_with_decay(net, grads, weight_decay),
+            OptimizerState::Adam(a) => a.step_with_decay(net, grads, weight_decay),
         }
     }
+}
+
+/// `g + weight_decay * w`, only when decay is on: adding `0.0 * w`
+/// would turn a `-0.0` gradient into `+0.0`, and any gradient into NaN
+/// where `w` is infinite.
+#[inline]
+fn decayed(g: f32, w: f32, weight_decay: f32) -> f32 {
+    if weight_decay > 0.0 {
+        g + weight_decay * w
+    } else {
+        g
+    }
+}
+
+/// Checks that a parameter slice, its gradient and its optimizer state
+/// line up before they are zipped.
+fn assert_aligned(params: &[f32], grads: &[f32], state: &[f32]) {
+    assert_eq!(grads.len(), params.len(), "gradient shape mismatch");
+    assert_eq!(state.len(), params.len(), "optimizer state shape mismatch");
 }
 
 /// SGD with momentum: `v = mu*v + g; w -= lr*v`.
@@ -100,33 +126,49 @@ impl Sgd {
         }
     }
 
-    /// Applies one update step.
+    /// Applies one update step without weight decay.
     ///
     /// # Panics
     ///
     /// Panics if `grads` is not aligned with the network's layers.
     pub fn step(&mut self, net: &mut Mlp, grads: &[LayerGrads]) {
+        self.step_with_decay(net, grads, 0.0);
+    }
+
+    /// Applies one update step with L2 weight decay: each weight's
+    /// gradient becomes `g + weight_decay * w` (`w` before the step) in
+    /// the same pass that updates it; biases are not decayed and `0.0`
+    /// disables decay. This is the step the trainer takes per minibatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grads` is not aligned with the network's layers.
+    pub fn step_with_decay(&mut self, net: &mut Mlp, grads: &[LayerGrads], weight_decay: f32) {
         assert_eq!(
             grads.len(),
             self.vel_w.len(),
             "gradient/layer count mismatch"
         );
-        for (i, layer) in net.layers_mut().iter_mut().enumerate() {
-            let g = &grads[i];
-            let vw = &mut self.vel_w[i];
-            vw.scale_inplace(self.momentum);
-            vw.axpy_inplace(1.0, &g.weights).expect("gradient shape");
-            let step_w = {
-                let mut s = vw.clone();
-                s.scale_inplace(self.lr);
-                s
-            };
-            let vb = &mut self.vel_b[i];
-            for (v, &gb) in vb.iter_mut().zip(&g.bias) {
-                *v = self.momentum * *v + gb;
+        let (lr, mu) = (self.lr, self.momentum);
+        // `v = v*mu + g; p -= v*lr` over one parameter slice.
+        let update = |params: &mut [f32], grads: &[f32], vel: &mut [f32], weight_decay: f32| {
+            assert_aligned(params, grads, vel);
+            for ((p, &g), v) in params.iter_mut().zip(grads).zip(vel) {
+                let g = decayed(g, *p, weight_decay);
+                *v = *v * mu + g;
+                *p -= *v * lr;
             }
-            let step_b: Vec<f32> = vb.iter().map(|&v| self.lr * v).collect();
-            layer.apply_update(&step_w, &step_b);
+        };
+        let state = self.vel_w.iter_mut().zip(&mut self.vel_b);
+        for ((layer, g), (vw, vb)) in net.layers_mut().iter_mut().zip(grads).zip(state) {
+            assert_eq!(
+                g.weights.shape(),
+                layer.weights().shape(),
+                "gradient shape mismatch"
+            );
+            let (w, b) = layer.params_mut();
+            update(w, g.weights.as_slice(), vw.as_mut_slice(), weight_decay);
+            update(b, &g.bias, vb, 0.0);
         }
     }
 }
@@ -173,41 +215,66 @@ impl Adam {
         }
     }
 
-    /// Applies one update step.
+    /// Applies one update step without weight decay.
     ///
     /// # Panics
     ///
     /// Panics if `grads` is not aligned with the network's layers.
     pub fn step(&mut self, net: &mut Mlp, grads: &[LayerGrads]) {
+        self.step_with_decay(net, grads, 0.0);
+    }
+
+    /// Applies one update step with L2 weight decay: each weight's
+    /// gradient becomes `g + weight_decay * w` (`w` before the step) in
+    /// the same pass that updates it; biases are not decayed and `0.0`
+    /// disables decay. This is the step the trainer takes per minibatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grads` is not aligned with the network's layers.
+    pub fn step_with_decay(&mut self, net: &mut Mlp, grads: &[LayerGrads], weight_decay: f32) {
         assert_eq!(grads.len(), self.m_w.len(), "gradient/layer count mismatch");
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, layer) in net.layers_mut().iter_mut().enumerate() {
-            let g = &grads[i];
-            let (m, v) = (&mut self.m_w[i], &mut self.v_w[i]);
-            let mut step_w = Matrix::zeros(g.weights.rows(), g.weights.cols());
-            for j in 0..g.weights.len() {
-                let gw = g.weights.as_slice()[j];
-                let mj = self.beta1 * m.as_slice()[j] + (1.0 - self.beta1) * gw;
-                let vj = self.beta2 * v.as_slice()[j] + (1.0 - self.beta2) * gw * gw;
-                m.as_mut_slice()[j] = mj;
-                v.as_mut_slice()[j] = vj;
-                let m_hat = mj / bc1;
-                let v_hat = vj / bc2;
-                step_w.as_mut_slice()[j] = self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-            let (mb, vb) = (&mut self.m_b[i], &mut self.v_b[i]);
-            let mut step_b = vec![0.0f32; g.bias.len()];
-            for j in 0..g.bias.len() {
-                let gb = g.bias[j];
-                mb[j] = self.beta1 * mb[j] + (1.0 - self.beta1) * gb;
-                vb[j] = self.beta2 * vb[j] + (1.0 - self.beta2) * gb * gb;
-                let m_hat = mb[j] / bc1;
-                let v_hat = vb[j] / bc2;
-                step_b[j] = self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-            layer.apply_update(&step_w, &step_b);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        // Advances the moments and subtracts the bias-corrected step over
+        // one parameter slice. The expressions keep the reference order:
+        // `(1-b2)*g*g` is `((1-b2)*g)*g`, `lr*m_hat/d` is `(lr*m_hat)/d`,
+        // and `m/bc1` is a division, not a multiply by a precomputed
+        // reciprocal, so every element rounds exactly as before.
+        let update =
+            |params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32], weight_decay: f32| {
+                assert_aligned(params, grads, m);
+                assert_aligned(params, grads, v);
+                for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+                    let g = decayed(g, *p, weight_decay);
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *v = beta2 * *v + (1.0 - beta2) * g * g;
+                    let m_hat = *m / bc1;
+                    let v_hat = *v / bc2;
+                    *p -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
+            };
+        let moments =
+            (self.m_w.iter_mut().zip(&mut self.v_w)).zip(self.m_b.iter_mut().zip(&mut self.v_b));
+        for ((layer, g), ((mw, vw), (mb, vb))) in
+            net.layers_mut().iter_mut().zip(grads).zip(moments)
+        {
+            assert_eq!(
+                g.weights.shape(),
+                layer.weights().shape(),
+                "gradient shape mismatch"
+            );
+            let (w, b) = layer.params_mut();
+            update(
+                w,
+                g.weights.as_slice(),
+                mw.as_mut_slice(),
+                vw.as_mut_slice(),
+                weight_decay,
+            );
+            update(b, &g.bias, mb, vb, 0.0);
         }
     }
 }
@@ -302,7 +369,7 @@ mod tests {
         let before = loss_of(&net, &x, &t);
         for _ in 0..30 {
             let (grads, _) = net.backprop(&x, &t);
-            st.step(&mut net, &grads);
+            st.step(&mut net, &grads, 0.0);
         }
         assert!(loss_of(&net, &x, &t) < before);
     }
