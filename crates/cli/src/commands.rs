@@ -1000,15 +1000,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Picks a loopback port by binding an ephemeral listener and
-    /// releasing it for the CLI worker to claim. The coordinator's
-    /// connect-retry budget absorbs the handover window.
-    fn free_port() -> u16 {
-        std::net::TcpListener::bind("127.0.0.1:0")
+    /// Starts `ecad cluster worker` in a thread on a loopback port
+    /// freed from an ephemeral listener, and returns only once the
+    /// worker accepts connections, so the coordinator's first connect
+    /// never races the worker's bind. The probe connection closes before
+    /// its handshake; the worker logs it as a failed session and goes
+    /// back to accepting.
+    fn spawn_worker() -> (u16, std::thread::JoinHandle<Result<String, CliError>>) {
+        let port = std::net::TcpListener::bind("127.0.0.1:0")
             .unwrap()
             .local_addr()
             .unwrap()
-            .port()
+            .port();
+        let worker = std::thread::spawn(move || {
+            run(argv(&format!("cluster worker --listen 127.0.0.1:{port}")))
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while std::net::TcpStream::connect(("127.0.0.1", port)).is_err() {
+            assert!(
+                !worker.is_finished(),
+                "worker on port {port} exited before listening"
+            );
+            assert!(
+                std::time::Instant::now() < deadline,
+                "worker on port {port} never listened"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        (port, worker)
     }
 
     /// End-to-end cluster path through the CLI: `ecad cluster worker`
@@ -1044,9 +1063,7 @@ mod tests {
         )))
         .unwrap();
 
-        let port = free_port();
-        let worker =
-            std::thread::spawn(move || run(argv(&format!("cluster worker --listen 127.0.0.1:{port}"))));
+        let (port, worker) = spawn_worker();
         let cluster_jsonl = dir.join("cluster.jsonl");
         let out = run(argv(&format!(
             "cluster search {base} --workers 127.0.0.1:{port} --connect-retries 6 --trace-out {}",
@@ -1072,9 +1089,7 @@ mod tests {
 
         // Islands on: elite migrants fold into the coordinator and the
         // validator sees the `migration` kind.
-        let port = free_port();
-        let worker =
-            std::thread::spawn(move || run(argv(&format!("cluster worker --listen 127.0.0.1:{port}"))));
+        let (port, worker) = spawn_worker();
         let island_jsonl = dir.join("island.jsonl");
         run(argv(&format!(
             "cluster search {base} --workers 127.0.0.1:{port} --connect-retries 6 \

@@ -6,15 +6,19 @@
 //! and an FNV-1a hash of the trained parameters' bits. The current
 //! trainer must reproduce it exactly — any change to the forward pass,
 //! backprop, the optimizer or the trainer loop that moves a single bit
-//! of a trained model fails here.
+//! of a trained model fails here. The check runs under the GEMM kernel
+//! build this host selects and again under the forced portable build,
+//! so a host with AVX2 pins both.
 //!
 //! On a mismatch the test writes what it computed to
-//! `<target>/tmp/training_v1.actual` so the two files can be diffed.
+//! `<target>/tmp/training_v1.<build>.actual` so the two files can be
+//! diffed.
 
 use std::fmt::Write as _;
 
 use ecad_dataset::synth::SyntheticSpec;
 use ecad_mlp::{Activation, Mlp, MlpTopology, OptimizerKind, TrainConfig, Trainer};
+use ecad_tensor::gemm;
 use rt::rand::rngs::StdRng;
 use rt::rand::SeedableRng;
 
@@ -126,22 +130,31 @@ fn render() -> String {
     out
 }
 
+/// The only test in this binary, so flipping the process-global build
+/// override needs no lock.
 #[test]
 fn training_reproduces_the_recorded_golden_bit_for_bit() {
-    let actual = render();
-    if actual == FIXTURE {
-        return;
+    for portable in [false, true] {
+        gemm::_force_portable_kernel(portable);
+        let build = format!("{:?}", gemm::kernel());
+        let actual = render();
+        if actual == FIXTURE {
+            continue;
+        }
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("training_v1.{build}.actual"));
+        std::fs::write(&path, &actual).expect("write actual output");
+        let first_diff = FIXTURE
+            .lines()
+            .zip(actual.lines())
+            .find(|(want, got)| want != got)
+            .map(|(want, got)| format!("\n  golden: {want}\n  actual: {got}"))
+            .unwrap_or_else(|| "\n  (line counts differ)".to_string());
+        panic!(
+            "{build} build: trained numerics differ from golden/training_v1.txt \
+             (actual written to {}):{first_diff}",
+            path.display()
+        );
     }
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("training_v1.actual");
-    std::fs::write(&path, &actual).expect("write actual output");
-    let first_diff = FIXTURE
-        .lines()
-        .zip(actual.lines())
-        .find(|(want, got)| want != got)
-        .map(|(want, got)| format!("\n  golden: {want}\n  actual: {got}"))
-        .unwrap_or_else(|| "\n  (line counts differ)".to_string());
-    panic!(
-        "trained numerics differ from golden/training_v1.txt (actual written to {}):{first_diff}",
-        path.display()
-    );
+    gemm::_force_portable_kernel(false);
 }

@@ -13,19 +13,36 @@
 //! # Kernel layout
 //!
 //! Each call packs the operands once: logical `A` (`m×k`) into row
-//! panels of [`MR`] rows stored k-major (`apack[p*MR + i] = A[i0+i, p]`)
+//! panels of `MR` rows stored k-major (`apack[p*MR + i] = A[i0+i, p]`)
 //! and logical `B` (`k×n`) into column panels of [`NR`] columns stored
-//! k-major (`bpack[p*NR + j] = B[p, j0+j]`). A 4×8 microkernel then
-//! walks both panels contiguously, carrying the full `MR×NR` tile of
-//! `C` in a register accumulator array. The fixed-shape inner loops are
-//! plain mul/add chains over independent accumulators, which LLVM
+//! k-major (`bpack[p*NR + j] = B[p, j0+j]`). A microkernel then walks
+//! both panels contiguously, carrying the full `MR×NR` tile of `C` in a
+//! register accumulator array. The fixed-shape inner loops are plain
+//! mul/add chains over independent accumulators, which LLVM
 //! auto-vectorizes without reordering any single chain (no fast-math is
-//! enabled anywhere in the workspace); the 4×8 tile keeps the whole
-//! accumulator block plus operand temporaries inside the baseline
-//! x86-64 (SSE2) register file, which 8×8 overflows. Edge tiles are
-//! zero-padded in
+//! enabled anywhere in the workspace). Edge tiles are zero-padded in
 //! the packed buffers and only the valid `h×w` region is copied out, so
 //! padding lanes never touch a real output element.
+//!
+//! # Per-ISA builds
+//!
+//! The packing, the panel loop and the microkernel are written once,
+//! generic over the tile height `MR`, and compiled twice (see
+//! [`Kernel`]):
+//!
+//! * **Portable, 4×8** — the workspace's baseline target (SSE2 on
+//!   x86-64: sixteen 4-wide registers). Eight accumulator registers
+//!   leave room for operands; an 8×8 tile would spill.
+//! * **AVX2, 8×8** — the same code instantiated inside a
+//!   `#[target_feature(enable = "avx2")]` function, so each tile row
+//!   is one 8-wide register and the 8×8 tile fits in the sixteen YMM
+//!   registers with room for the A broadcast and the B load.
+//!
+//! [`kernel`] picks the build once per process with
+//! `is_x86_feature_detected!("avx2")`; non-x86-64 hosts always run the
+//! portable build. AVX2 does not imply FMA and FMA is never enabled, so
+//! both builds issue the same separately rounded multiply and add per
+//! step and return the same bits. The choice is not configurable.
 //!
 //! # Determinism contract
 //!
@@ -33,28 +50,77 @@
 //! as `acc = acc + A[i,p] * B[p,j]` for `p = 0, 1, …, k-1`, in that
 //! order — exactly the operation sequence of [`matmul_naive`]. Because
 //! parallelism only partitions *rows of C* across lanes (never the `k`
-//! reduction), and lane assignment in [`rt::pool`] is a pure function
-//! of the panel index, results are bit-identical:
+//! reduction), lane assignment in [`rt::pool`] is a pure function of
+//! the panel index, and the tile shape only decides *which* elements
+//! are in flight together, results are bit-identical:
 //!
 //! * to [`matmul_naive`] (and the transposed-naive references for the
 //!   fused variants),
 //! * across repeated runs in one process,
-//! * across any thread count (1 vs N), on hosts with any core count.
+//! * across any thread count (1 vs N), on hosts with any core count,
+//! * across the portable and AVX2 builds.
+//!
+//! The one exception is the sign and payload of a NaN. Rust leaves them
+//! unspecified and LLVM may commute an `fadd`, so where the oracle
+//! produces a NaN the kernels produce *a* NaN, possibly of the other
+//! sign. Every non-NaN element is pinned bit for bit.
 //!
 //! `crates/tensor/tests/gemm_oracle.rs` pins the first property over an
 //! exhaustive shape grid and `tests/gemm_determinism.rs` pins the rest,
 //! including a seeded broken-accumulation-order mutant that must be
-//! caught.
+//! caught; both run every check under each build.
 
 use crate::Matrix;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Microkernel tile height: rows of `C` carried per register tile.
-pub const MR: usize = 4;
-/// Microkernel tile width: columns of `C` carried per register tile.
+/// Microkernel tile width: columns of `C` carried per register tile,
+/// in every build. The tile height depends on the build; see
+/// [`Kernel`].
 pub const NR: usize = 8;
+
+/// Tile height of the portable build.
+const MR_PORTABLE: usize = 4;
+/// Tile height of the AVX2 build.
+const MR_AVX2: usize = 8;
+
+/// A compiled build of the packed kernel. Both builds run the same
+/// source and return the same bits; they differ in tile height and in
+/// the instructions LLVM may use.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kernel {
+    /// 4×8 tile for the baseline target; the build on hosts without
+    /// AVX2.
+    Portable,
+    /// 8×8 tile compiled with AVX2 enabled; chosen only on x86-64
+    /// hosts whose CPU reports AVX2.
+    Avx2,
+}
+
+impl Kernel {
+    /// Tile height: rows of `C` this build carries per register tile.
+    fn mr(self) -> usize {
+        match self {
+            Kernel::Portable => MR_PORTABLE,
+            Kernel::Avx2 => MR_AVX2,
+        }
+    }
+
+    /// Computes a range of row panels with this build.
+    fn compute_panels(self, panels: Range<usize>, job: &Job<'_>) {
+        match self {
+            Kernel::Portable => compute_panels::<MR_PORTABLE>(panels, job),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the only caller, `gemm_driver`, passes the value
+            // of `kernel()`, which is `Avx2` only after
+            // `is_x86_feature_detected!("avx2")` reported AVX2.
+            Kernel::Avx2 => unsafe { compute_panels_avx2(panels, job) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Avx2 => unreachable!("AVX2 build selected off x86-64"),
+        }
+    }
+}
 
 /// Calls below this many multiply-accumulates (`m*k*n`) always run
 /// single-threaded; pool dispatch costs more than it saves there.
@@ -66,6 +132,9 @@ static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Test-only sabotage switch; see [`_set_broken_accumulation_order`].
 static BROKEN_ORDER: AtomicBool = AtomicBool::new(false);
+
+/// Test-only build override; see [`_force_portable_kernel`].
+static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
 
 /// Sets the process-wide GEMM lane count (clamped to at least 1).
 ///
@@ -102,6 +171,30 @@ pub fn threads() -> usize {
 #[doc(hidden)]
 pub fn _set_broken_accumulation_order(on: bool) {
     BROKEN_ORDER.store(on, Ordering::SeqCst);
+}
+
+/// Test hook: when enabled, every call runs the portable build even on
+/// an AVX2 host, so the test suites can pin both builds on one machine.
+/// Never enable outside tests.
+#[doc(hidden)]
+pub fn _force_portable_kernel(on: bool) {
+    FORCE_PORTABLE.store(on, Ordering::SeqCst);
+}
+
+/// The build this process's calls run: [`Kernel::Avx2`] when the CPU
+/// reports AVX2, else [`Kernel::Portable`]. Detected once per process.
+pub fn kernel() -> Kernel {
+    static DETECTED: OnceLock<Kernel> = OnceLock::new();
+    if FORCE_PORTABLE.load(Ordering::Relaxed) {
+        return Kernel::Portable;
+    }
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Portable
+    })
 }
 
 /// Multiplies `a * b` with the textbook triple loop.
@@ -272,8 +365,8 @@ fn gemm_driver(
         return c;
     }
 
-    let reverse = BROKEN_ORDER.load(Ordering::Relaxed);
-    let mp = m.div_ceil(MR);
+    let kernel = kernel();
+    let mp = m.div_ceil(kernel.mr());
     let np = n.div_ceil(NR);
 
     // Pack every column panel of B once per call; freshly zeroed, so a
@@ -284,9 +377,19 @@ fn gemm_driver(
     }
 
     let lanes = lane_count(m, k, n, mp);
-    let out = SharedOut(c.as_mut_slice().as_mut_ptr());
+    let job = Job {
+        a,
+        a_trans,
+        bpack: &bpack,
+        bias,
+        out: SharedOut(c.as_mut_slice().as_mut_ptr()),
+        m,
+        k,
+        n,
+        reverse: BROKEN_ORDER.load(Ordering::Relaxed),
+    };
     if lanes <= 1 {
-        compute_panels(0..mp, a, a_trans, &bpack, bias, out, m, k, n, reverse);
+        kernel.compute_panels(0..mp, &job);
     } else {
         // Lane L owns the contiguous panel range [L*mp/lanes,
         // (L+1)*mp/lanes): which lane computes a panel never affects
@@ -294,10 +397,23 @@ fn gemm_driver(
         rt::pool::global().run(lanes, |lane| {
             let lo = lane * mp / lanes;
             let hi = (lane + 1) * mp / lanes;
-            compute_panels(lo..hi, a, a_trans, &bpack, bias, out, m, k, n, reverse);
+            kernel.compute_panels(lo..hi, &job);
         });
     }
     c
+}
+
+/// Everything a lane needs to compute its row panels of one call.
+struct Job<'a> {
+    a: &'a Matrix,
+    a_trans: bool,
+    bpack: &'a [f32],
+    bias: Option<&'a [f32]>,
+    out: SharedOut,
+    m: usize,
+    k: usize,
+    n: usize,
+    reverse: bool,
 }
 
 /// How many pool lanes a `(m, k, n)` call may use: the configured
@@ -315,28 +431,39 @@ fn lane_count(m: usize, k: usize, n: usize, mp: usize) -> usize {
     requested.min(mp).min(rt::pool::global().threads())
 }
 
-/// Computes the given range of row panels against every column panel.
-/// Each lane runs this once over its own disjoint range.
-#[allow(clippy::too_many_arguments)]
-fn compute_panels(
-    panels: Range<usize>,
-    a: &Matrix,
-    a_trans: bool,
-    bpack: &[f32],
-    bias: Option<&[f32]>,
-    out: SharedOut,
-    m: usize,
-    k: usize,
-    n: usize,
-    reverse: bool,
-) {
+/// The AVX2 build: [`compute_panels`] and everything it inlines,
+/// compiled with AVX2 enabled and an 8-row tile. Callers must first
+/// check that the CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn compute_panels_avx2(panels: Range<usize>, job: &Job<'_>) {
+    compute_panels::<MR_AVX2>(panels, job)
+}
+
+/// Computes the given range of `MR`-row panels against every column
+/// panel. Each lane runs this once over its own disjoint range.
+/// `inline(always)` down to the microkernel, so each build's caller
+/// compiles the whole loop nest with its own target features.
+#[inline(always)]
+fn compute_panels<const MR: usize>(panels: Range<usize>, job: &Job<'_>) {
+    let &Job {
+        a,
+        a_trans,
+        bpack,
+        bias,
+        out,
+        m,
+        k,
+        n,
+        reverse,
+    } = job;
     let np = n.div_ceil(NR);
     let mut apack = vec![0.0f32; k * MR];
     let mut acc = [[0.0f32; NR]; MR];
     for ip in panels {
         let i0 = ip * MR;
         let h = MR.min(m - i0);
-        pack_a(a, a_trans, k, i0, h, &mut apack);
+        pack_a::<MR>(a, a_trans, k, i0, h, &mut apack);
         for jp in 0..np {
             let j0 = jp * NR;
             let w = NR.min(n - j0);
@@ -363,7 +490,15 @@ fn compute_panels(
 
 /// Packs `MR` logical rows of `A` starting at `i0`, k-major:
 /// `apack[p*MR + i] = A[i0+i, p]`. Rows past `h` are zero padding.
-fn pack_a(a: &Matrix, a_trans: bool, k: usize, i0: usize, h: usize, apack: &mut [f32]) {
+#[inline(always)]
+fn pack_a<const MR: usize>(
+    a: &Matrix,
+    a_trans: bool,
+    k: usize,
+    i0: usize,
+    h: usize,
+    apack: &mut [f32],
+) {
     if h < MR {
         apack.fill(0.0);
     }
@@ -408,10 +543,15 @@ fn pack_b(b: &Matrix, b_trans: bool, k: usize, n: usize, jp: usize, dst: &mut [f
 /// One `MR×NR` register tile: `acc[i][j] = Σ_p apack[p][i] * bpack[p][j]`
 /// with `p` strictly ascending (descending only under the test-only
 /// broken-order mutant). Each `acc[i][j]` is a single dependency chain;
-/// the compiler vectorizes *across* the 64 independent chains, which
+/// the compiler vectorizes *across* the `MR×NR` independent chains, which
 /// cannot reorder any one of them.
 #[inline(always)]
-fn microkernel(apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR], reverse: bool) {
+fn microkernel<const MR: usize>(
+    apack: &[f32],
+    bpack: &[f32],
+    acc: &mut [[f32; NR]; MR],
+    reverse: bool,
+) {
     *acc = [[0.0; NR]; MR];
     let steps = apack.chunks_exact(MR).zip(bpack.chunks_exact(NR));
     if reverse {
@@ -426,7 +566,7 @@ fn microkernel(apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR], reverse:
 }
 
 #[inline(always)]
-fn microkernel_step(av: &[f32], bv: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn microkernel_step<const MR: usize>(av: &[f32], bv: &[f32], acc: &mut [[f32; NR]; MR]) {
     let av: &[f32; MR] = av.try_into().expect("packed A stride");
     let bv: &[f32; NR] = bv.try_into().expect("packed B stride");
     for i in 0..MR {

@@ -7,8 +7,9 @@
 //! partition rows of `C`, never the `k` reduction. A seeded
 //! broken-accumulation-order mutant proves the bitwise oracle has
 //! teeth, and an `rt::prop!` fuzz sweeps random shapes (including
-//! 0-dims) and special values (NaN/±inf must propagate exactly like the
-//! oracle, never panic).
+//! 0-dims) and special values (NaN/±inf must propagate like the
+//! oracle, never panic). Every test runs under both kernel builds: the
+//! one this host selects and the forced portable build.
 
 use ecad_tensor::{gemm, init, Matrix};
 use rt::rand::rngs::StdRng;
@@ -16,14 +17,29 @@ use rt::rand::{Rng, SeedableRng};
 use rt::prop_assert;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// `gemm::set_threads` and the mutant switch are process globals; every
-/// test in this binary serializes on this lock so the harness' default
-/// test parallelism cannot interleave settings.
+/// `gemm::set_threads`, the mutant switch and the build override are
+/// process globals; every test in this binary serializes on this lock
+/// so the harness' default test parallelism cannot interleave settings.
+/// Acquiring it drops any build override a panicked test left behind.
 fn kernel_globals() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+    let guard = LOCK
+        .get_or_init(|| Mutex::new(()))
         .lock()
-        .unwrap_or_else(|e| e.into_inner())
+        .unwrap_or_else(|e| e.into_inner());
+    gemm::_force_portable_kernel(false);
+    guard
+}
+
+/// Runs `check` under the build this host selects, then under the
+/// forced portable build (the same build twice on a host without
+/// AVX2), passing the build's name for failure messages.
+fn for_each_build(mut check: impl FnMut(&str)) {
+    for portable in [false, true] {
+        gemm::_force_portable_kernel(portable);
+        check(&format!("{:?}", gemm::kernel()));
+    }
+    gemm::_force_portable_kernel(false);
 }
 
 /// Same small grid as `gemm_oracle.rs`.
@@ -31,8 +47,9 @@ const DIMS: [usize; 8] = [0, 1, 2, 3, 5, 7, 8, 9];
 
 /// Boundary shapes that actually take the parallel path (the small grid
 /// stays under the parallel threshold, where bit-identity across thread
-/// counts is trivially true).
-const BOUNDARY: [(usize, usize, usize); 8] = [
+/// counts is trivially true). The 15/16/17-row shapes straddle the
+/// 8-row tile of the AVX2 build and split into two or three panels.
+const BOUNDARY: [(usize, usize, usize); 11] = [
     (63, 64, 65),
     (64, 65, 63),
     (65, 63, 64),
@@ -41,6 +58,9 @@ const BOUNDARY: [(usize, usize, usize); 8] = [
     (128, 129, 127),
     (129, 127, 128),
     (128, 128, 128),
+    (15, 128, 129),
+    (16, 129, 127),
+    (17, 127, 128),
 ];
 
 fn seeded(m: usize, k: usize, n: usize) -> (Matrix, Matrix, Vec<f32>, Matrix, Matrix) {
@@ -90,30 +110,36 @@ fn bit_identity_across_thread_counts() {
         .flat_map(|&m| DIMS.iter().flat_map(move |&k| DIMS.iter().map(move |&n| (m, k, n))))
         .chain(BOUNDARY.iter().copied())
         .collect();
-    for &(m, k, n) in &shapes {
-        gemm::set_threads(1);
-        let (a, b, _, _, _) = seeded(m, k, n);
-        let single = gemm::matmul(&a, &b);
-        for t in [2, 7] {
-            gemm::set_threads(t);
-            let multi = gemm::matmul(&a, &b);
-            assert_bits(&format!("matmul m={m} k={k} n={n} threads={t}"), &multi, &single);
-        }
-    }
-    for &(m, k, n) in &BOUNDARY {
-        gemm::set_threads(1);
-        let single = all_kernels(m, k, n);
-        for t in [2, 7] {
-            gemm::set_threads(t);
-            for (got, want) in all_kernels(m, k, n).iter().zip(&single) {
+    for_each_build(|build| {
+        for &(m, k, n) in &shapes {
+            gemm::set_threads(1);
+            let (a, b, _, _, _) = seeded(m, k, n);
+            let single = gemm::matmul(&a, &b);
+            for t in [2, 7] {
+                gemm::set_threads(t);
+                let multi = gemm::matmul(&a, &b);
                 assert_bits(
-                    &format!("{} m={m} k={k} n={n} threads={t}", got.0),
-                    &got.1,
-                    &want.1,
+                    &format!("{build} matmul m={m} k={k} n={n} threads={t}"),
+                    &multi,
+                    &single,
                 );
             }
         }
-    }
+        for &(m, k, n) in &BOUNDARY {
+            gemm::set_threads(1);
+            let single = all_kernels(m, k, n);
+            for t in [2, 7] {
+                gemm::set_threads(t);
+                for (got, want) in all_kernels(m, k, n).iter().zip(&single) {
+                    assert_bits(
+                        &format!("{build} {} m={m} k={k} n={n} threads={t}", got.0),
+                        &got.1,
+                        &want.1,
+                    );
+                }
+            }
+        }
+    });
     gemm::set_threads(1);
 }
 
@@ -123,23 +149,25 @@ fn bit_identity_across_thread_counts() {
 fn bit_identity_across_repeated_runs() {
     let _g = kernel_globals();
     gemm::set_threads(7);
-    for &(m, k, n) in &BOUNDARY {
-        for (first, second) in all_kernels(m, k, n).iter().zip(all_kernels(m, k, n)) {
-            assert_bits(
-                &format!("{} m={m} k={k} n={n} run2", first.0),
-                &second.1,
-                &first.1,
-            );
+    for_each_build(|build| {
+        for &(m, k, n) in &BOUNDARY {
+            for (first, second) in all_kernels(m, k, n).iter().zip(all_kernels(m, k, n)) {
+                assert_bits(
+                    &format!("{build} {} m={m} k={k} n={n} run2", first.0),
+                    &second.1,
+                    &first.1,
+                );
+            }
         }
-    }
+    });
     gemm::set_threads(1);
 }
 
 /// The seeded broken-accumulation-order mutant (reversed `k` walk —
 /// numerically plausible, bitwise wrong) must be caught by the
-/// bit-identity-vs-naive check, and switching it off must restore exact
-/// agreement. This proves the oracle detects accumulation-order drift
-/// rather than vacuously passing.
+/// bit-identity-vs-naive check under each build, and switching it off
+/// must restore exact agreement. This proves the oracle detects
+/// accumulation-order drift rather than vacuously passing.
 #[test]
 fn broken_accumulation_order_mutant_is_caught() {
     let _g = kernel_globals();
@@ -149,35 +177,45 @@ fn broken_accumulation_order_mutant_is_caught() {
     let b = init::uniform(&mut rng, 64, 64, 1.0);
     let naive = gemm::matmul_naive(&a, &b);
 
-    gemm::_set_broken_accumulation_order(true);
-    let mutant = gemm::matmul(&a, &b);
-    gemm::_set_broken_accumulation_order(false);
+    for_each_build(|build| {
+        gemm::_set_broken_accumulation_order(true);
+        let mutant = gemm::matmul(&a, &b);
+        gemm::_set_broken_accumulation_order(false);
 
-    let drifted = mutant
-        .as_slice()
-        .iter()
-        .zip(naive.as_slice())
-        .any(|(x, y)| x.to_bits() != y.to_bits());
-    assert!(
-        drifted,
-        "reversed accumulation order produced bit-identical output; \
-         the bitwise oracle would never catch an order regression"
-    );
-    // Tolerance-level agreement still holds: the mutant is numerically
-    // plausible, which is exactly why the pin must be bitwise.
-    for (x, y) in mutant.as_slice().iter().zip(naive.as_slice()) {
-        assert!((x - y).abs() <= 1e-4 * (1.0 + x.abs().max(y.abs())));
-    }
-    assert_bits("mutant off", &gemm::matmul(&a, &b), &naive);
+        let drifted = mutant
+            .as_slice()
+            .iter()
+            .zip(naive.as_slice())
+            .any(|(x, y)| x.to_bits() != y.to_bits());
+        assert!(
+            drifted,
+            "{build}: reversed accumulation order produced bit-identical output; \
+             the bitwise oracle would never catch an order regression"
+        );
+        // Tolerance-level agreement still holds: the mutant is
+        // numerically plausible, which is exactly why the pin must be
+        // bitwise.
+        for (x, y) in mutant.as_slice().iter().zip(naive.as_slice()) {
+            assert!((x - y).abs() <= 1e-4 * (1.0 + x.abs().max(y.abs())));
+        }
+        assert_bits(
+            &format!("{build} mutant off"),
+            &gemm::matmul(&a, &b),
+            &naive,
+        );
+    });
 }
 
 rt::prop! {
     #![cases(96)]
 
     /// Fuzz: random shapes (including 0-dims) with sprinkled special
-    /// values. Kernels must never panic, must stay bitwise equal to the
-    /// strict naive oracle, and NaN rows must propagate like the oracle
-    /// (no zero-skip may swallow them).
+    /// values, under each build. Kernels must never panic, must stay
+    /// bitwise equal to the strict naive oracle on every non-NaN
+    /// element and produce NaN exactly where it does, and NaN rows must
+    /// propagate like the oracle (no zero-skip may swallow them). The
+    /// sign and payload of a NaN are not compared: Rust leaves them
+    /// unspecified, and LLVM may commute an `fadd` in either function.
     fn fuzz_shapes_and_special_values(
         m in 0usize..10, k in 0usize..10, n in 0usize..10, seed in 0u64..100_000
     ) {
@@ -198,28 +236,37 @@ rt::prop! {
             }
         }
         let naive = gemm::matmul_naive(&a, &b);
-        let packed = gemm::matmul(&a, &b);
-        prop_assert!(packed.shape() == (m, n));
-        for i in 0..m {
-            for j in 0..n {
-                let (x, y) = (packed[(i, j)], naive[(i, j)]);
-                prop_assert!(
-                    x.to_bits() == y.to_bits(),
-                    "m={m} k={k} n={n} i={i} j={j}: {x:?} vs {y:?}"
-                );
-            }
-        }
-        // NaN propagation: a NaN anywhere in row i of A taints the
-        // whole output row (every element's chain crosses every p).
-        if n > 0 {
+        for_each_build(|build| {
+            let packed = gemm::matmul(&a, &b);
+            prop_assert!(packed.shape() == (m, n));
             for i in 0..m {
-                if a.row(i).iter().any(|v| v.is_nan()) {
+                for j in 0..n {
+                    let (x, y) = (packed[(i, j)], naive[(i, j)]);
+                    let same = if y.is_nan() {
+                        x.is_nan()
+                    } else {
+                        x.to_bits() == y.to_bits()
+                    };
                     prop_assert!(
-                        packed.row(i).iter().all(|v| v.is_nan()),
-                        "row {i} lost its NaN taint"
+                        same,
+                        "{build} m={m} k={k} n={n} i={i} j={j}: {x:?} ({:#010x}) vs {y:?} ({:#010x})",
+                        x.to_bits(),
+                        y.to_bits()
                     );
                 }
             }
-        }
+            // NaN propagation: a NaN anywhere in row i of A taints the
+            // whole output row (every element's chain crosses every p).
+            if n > 0 {
+                for i in 0..m {
+                    if a.row(i).iter().any(|v| v.is_nan()) {
+                        prop_assert!(
+                            packed.row(i).iter().all(|v| v.is_nan()),
+                            "{build}: row {i} lost its NaN taint"
+                        );
+                    }
+                }
+            }
+        });
     }
 }

@@ -4,23 +4,50 @@
 //! is compared against the strict-order [`gemm::matmul_naive`]
 //! reference over the full shape grid `{0,1,2,3,5,7,8,9}³` plus
 //! register-tile and panel boundary shapes around 63/64/65 and
-//! 127/128/129. The kernels share the naive oracle's accumulation
-//! order, so the comparison is **bitwise**; on failure the report names
-//! the `(kernel, m, k, n, i, j)` coordinate and the relative error so a
-//! tolerance-level drift is distinguishable from a hard bug.
+//! 127/128/129 and 15/16/17. The kernels share the naive oracle's
+//! accumulation order, so the comparison is **bitwise**; on failure the
+//! report names the `(kernel, m, k, n, i, j)` coordinate and the
+//! relative error so a tolerance-level drift is distinguishable from a
+//! hard bug. Both grids run under the kernel build this host selects
+//! and under the forced portable build.
 
 use ecad_tensor::{gemm, init, Matrix};
 use rt::rand::rngs::StdRng;
 use rt::rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+/// The build override is a process global; the tests that flip it
+/// serialize on this lock. Acquiring it drops any override a panicked
+/// test left behind.
+fn kernel_globals() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    let guard = LOCK
+        .get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    gemm::_force_portable_kernel(false);
+    guard
+}
+
+/// Runs `check` under the build this host selects, then under the
+/// forced portable build (the same build twice on a host without AVX2).
+fn for_each_build(mut check: impl FnMut()) {
+    for portable in [false, true] {
+        gemm::_force_portable_kernel(portable);
+        check();
+    }
+    gemm::_force_portable_kernel(false);
+}
 
 /// Small dims exercising empty, unit, sub-tile, off-by-one-around-8
 /// register tile edges.
 const DIMS: [usize; 8] = [0, 1, 2, 3, 5, 7, 8, 9];
 
-/// Shapes straddling the MR/NR=8 register tiles and multi-panel row
-/// ranges; cyclic permutations keep the count debug-build friendly
-/// while still hitting every dimension at every boundary value.
-const BOUNDARY: [(usize, usize, usize); 8] = [
+/// Shapes straddling the MR/NR register tiles (MR is 4 or 8 by build,
+/// NR is 8) and multi-panel row ranges; cyclic permutations keep the
+/// count debug-build friendly while still hitting every dimension at
+/// every boundary value.
+const BOUNDARY: [(usize, usize, usize); 11] = [
     (63, 64, 65),
     (64, 65, 63),
     (65, 63, 64),
@@ -29,6 +56,9 @@ const BOUNDARY: [(usize, usize, usize); 8] = [
     (128, 129, 127),
     (129, 127, 128),
     (128, 128, 128),
+    (15, 16, 17),
+    (16, 17, 15),
+    (17, 15, 16),
 ];
 
 /// Relative error for the failure report; `0.0` when bitwise equal,
@@ -85,7 +115,9 @@ fn check_shape(m: usize, k: usize, n: usize) {
     let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.25 - 1.0).collect();
 
     let naive = gemm::matmul_naive(&a, &b);
-    assert_matches_oracle("matmul", (m, k, n), &gemm::matmul(&a, &b), &naive);
+    let build = gemm::kernel();
+    let label = |name: &str| format!("{name} ({build:?})");
+    assert_matches_oracle(&label("matmul"), (m, k, n), &gemm::matmul(&a, &b), &naive);
 
     let mut naive_bias = naive.clone();
     for r in 0..m {
@@ -94,7 +126,7 @@ fn check_shape(m: usize, k: usize, n: usize) {
         }
     }
     assert_matches_oracle(
-        "matmul_bias",
+        &label("matmul_bias"),
         (m, k, n),
         &gemm::matmul_bias(&a, &b, &bias),
         &naive_bias,
@@ -104,7 +136,7 @@ fn check_shape(m: usize, k: usize, n: usize) {
     // exactly, so the naive reference stays a bitwise oracle.
     let at = init::uniform(&mut rng, k, m, 1.0);
     assert_matches_oracle(
-        "matmul_at_b",
+        &label("matmul_at_b"),
         (m, k, n),
         &gemm::matmul_at_b(&at, &b),
         &gemm::matmul_naive(&at.transposed(), &b),
@@ -113,7 +145,7 @@ fn check_shape(m: usize, k: usize, n: usize) {
     // a * b^T: feed an n×k right operand.
     let bt = init::uniform(&mut rng, n, k, 1.0);
     assert_matches_oracle(
-        "matmul_a_bt",
+        &label("matmul_a_bt"),
         (m, k, n),
         &gemm::matmul_a_bt(&a, &bt),
         &gemm::matmul_naive(&a, &bt.transposed()),
@@ -122,20 +154,26 @@ fn check_shape(m: usize, k: usize, n: usize) {
 
 #[test]
 fn every_kernel_matches_naive_over_the_full_small_grid() {
-    for &m in &DIMS {
-        for &k in &DIMS {
-            for &n in &DIMS {
-                check_shape(m, k, n);
+    let _g = kernel_globals();
+    for_each_build(|| {
+        for &m in &DIMS {
+            for &k in &DIMS {
+                for &n in &DIMS {
+                    check_shape(m, k, n);
+                }
             }
         }
-    }
+    });
 }
 
 #[test]
 fn every_kernel_matches_naive_at_tile_boundaries() {
-    for &(m, k, n) in &BOUNDARY {
-        check_shape(m, k, n);
-    }
+    let _g = kernel_globals();
+    for_each_build(|| {
+        for &(m, k, n) in &BOUNDARY {
+            check_shape(m, k, n);
+        }
+    });
 }
 
 #[test]
