@@ -3,11 +3,11 @@
 //! The paper's master/worker split (§III-A) crosses machine boundaries
 //! here: `ecad cluster worker --listen ADDR` turns a host into a
 //! genome-evaluation server, and a coordinator search routes its
-//! [`crate::protocol::DispatchLedger`] dispatches to those workers as
-//! *remote supervised slots* — the fault-tolerance substrate from the
-//! local engine (deadlines, retries, stale fencing, respawn) applies
-//! unchanged, because a remote worker is just a slot whose evaluation
-//! happens to traverse a socket.
+//! [`crate::protocol::DispatchLedger`] dispatches to those workers
+//! through the engine's one slot loop over a remote transport — the
+//! fault-tolerance substrate from the local engine (deadlines, retries,
+//! stale fencing, respawn) applies unchanged, because a remote worker
+//! is just a slot whose evaluation happens to traverse a socket.
 //!
 //! ## Wire protocol
 //!
@@ -55,7 +55,6 @@
 //! `migration` trace events.
 
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,16 +67,18 @@ use ecad_mlp::{Activation, OptimizerKind, TrainConfig};
 use ecad_tensor::Matrix;
 use rt::json::{get_array, get_f64, get_hex_u64, get_str, get_usize, Json};
 use rt::net::{Conn, Listener, NetError};
-use rt::obs::{CaptureSink, Event, Level, Obs};
+use rt::obs::{CaptureSink, Event, Gauge, HistogramHandle, Level, Obs};
 use rt::rand::rngs::StdRng;
 use rt::rand::{Rng, SeedableRng};
+use rt::sync::channel::Sender;
 
 use crate::checkpoint::{genome_from_json, genome_to_json, measurement_from_json, measurement_to_json};
+use crate::engine::Report;
 use crate::fitness::{Objective, ObjectiveSet};
 use crate::genome::CandidateGenome;
 use crate::measurement::{InfeasibleReason, Measurement};
 use crate::space::{HwFamily, SearchSpace};
-use crate::workers::{CodesignEvaluator, Evaluator, HwTarget};
+use crate::workers::{evaluate_guarded, CodesignEvaluator, HwTarget};
 
 /// Role string the coordinator announces in its hello.
 pub const COORDINATOR_ROLE: &str = "coordinator";
@@ -305,17 +306,6 @@ impl ClusterHealth {
             })
             .collect()
     }
-}
-
-/// A migrant an island shipped to the coordinator.
-#[derive(Debug, Clone)]
-pub struct Migrant {
-    /// Remote slot index that produced the migrant.
-    pub slot: usize,
-    /// The migrant's genes.
-    pub genome: CandidateGenome,
-    /// Its worker-side measurement.
-    pub measurement: Measurement,
 }
 
 // ---------------------------------------------------------------------------
@@ -901,6 +891,376 @@ impl WorkerResponse {
 }
 
 // ---------------------------------------------------------------------------
+// Coordinator-side transport
+// ---------------------------------------------------------------------------
+
+/// An established coordinator-side session with one remote worker.
+struct RemoteSession {
+    conn: Conn,
+    stamp: u64,
+}
+
+impl RemoteSession {
+    /// Connects, handshakes, and opens a session with a `setup` frame.
+    fn open(addr: &str, plan: &ClusterPlan, stamp: u64) -> Result<Self, NetError> {
+        let opts = &plan.options;
+        let mut conn = Conn::connect(addr, opts.net_timeout, opts.max_frame)?;
+        conn.set_io_timeout(Some(opts.net_timeout))?;
+        conn.handshake_client(COORDINATOR_ROLE, Some(WORKER_ROLE))?;
+        conn.send(&CoordinatorRequest::Setup(Box::new(plan.setup.clone()), stamp).to_json()?)?;
+        match WorkerResponse::from_json(&conn.recv()?)? {
+            WorkerResponse::Ready { stamp: s } if s == stamp => Ok(Self { conn, stamp }),
+            other => Err(NetError::Protocol(format!(
+                "expected ready({stamp:016x}), got {other:?}"
+            ))),
+        }
+    }
+
+    /// One evaluate/evaluated exchange. Responses whose id or stamp
+    /// does not match the outstanding job are *stale* — fenced here
+    /// (below the ledger's own id fencing) and classified transient so
+    /// the connection resyncs. A matching response's captured events
+    /// are replayed into `obs`, inside the caller's `evaluate` span.
+    fn exchange(
+        &mut self,
+        id: usize,
+        genome: &CandidateGenome,
+        slot: usize,
+        obs: &Obs,
+        telemetry: &SlotTelemetry,
+    ) -> Result<Report, RemoteFailure> {
+        let request = CoordinatorRequest::Evaluate {
+            id: id as u64,
+            stamp: self.stamp,
+            genome: genome.clone(),
+        };
+        self.conn.send(&request.to_json()?)?;
+        // Workers piggyback cumulative `Stats` frames on the session;
+        // absorb any that precede the answer (telemetry is out-of-band,
+        // so this never changes what the ledger sees).
+        let response = loop {
+            match WorkerResponse::from_json(&self.conn.recv()?)? {
+                stats @ WorkerResponse::Stats { .. } => telemetry.absorb(&stats),
+                other => break other,
+            }
+        };
+        match response {
+            WorkerResponse::Evaluated {
+                id: rid,
+                stamp,
+                measurement,
+                panicked,
+                events,
+                migrants,
+            } if rid == id as u64 && stamp == self.stamp => {
+                for event in events {
+                    obs.emit_event(event);
+                }
+                Ok(Report {
+                    slot,
+                    id,
+                    measurement,
+                    panicked,
+                    migrants,
+                    retired: false,
+                })
+            }
+            WorkerResponse::Evaluated { id: rid, stamp, .. } => {
+                rt::warn!(
+                    obs,
+                    "stale_remote_result",
+                    id = rid as usize,
+                    expected = id,
+                    stamp = format!("{stamp:016x}"),
+                );
+                Err(RemoteFailure::Transient(format!(
+                    "stale response for job {rid} (wanted {id})"
+                )))
+            }
+            other => Err(RemoteFailure::Transient(format!(
+                "expected evaluated, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Best-effort `kill_all` on shutdown: the worker's listen loop
+    /// exits once the coordinator is done with it. The worker sends a
+    /// final cumulative `Stats` frame (its complete profile subtree)
+    /// before `Bye`; absorb it so short runs still graft every
+    /// worker's tree into the master profile.
+    fn kill(mut self, telemetry: &SlotTelemetry) {
+        if let Ok(req) = CoordinatorRequest::KillAll.to_json() {
+            if self.conn.send(&req).is_ok() {
+                // Bounded drain: Bye, or a dead peer — either way done.
+                for _ in 0..8 {
+                    let Ok(frame) = self.conn.recv() else { break };
+                    match WorkerResponse::from_json(&frame) {
+                        Ok(stats @ WorkerResponse::Stats { .. }) => telemetry.absorb(&stats),
+                        Ok(WorkerResponse::Bye) | Err(_) => break,
+                        Ok(_) => {} // stale frame; keep draining
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Out-of-band telemetry context for one remote slot: labeled metric
+/// handles, the shared health registry, and the coordinator profiler
+/// that worker subtrees graft into. Everything absorbed here lands in
+/// read-only side channels (metrics registry, health cells, profile
+/// grafts) — never the trace, the RNG streams, or the ledger — so the
+/// byte-identity contracts are untouched.
+struct SlotTelemetry {
+    addr: String,
+    index: usize,
+    health: Option<Arc<ClusterHealth>>,
+    profiler: Option<rt::prof::Profiler>,
+    jobs: Gauge,
+    train_s: Gauge,
+    hw_s: Gauge,
+    panics: Gauge,
+    migrants: Gauge,
+    latency: HistogramHandle,
+}
+
+impl SlotTelemetry {
+    fn new(addr: String, index: usize, health: Option<Arc<ClusterHealth>>, obs: &Obs) -> Self {
+        let labels: &[(&str, &str)] = &[("worker", addr.as_str())];
+        Self {
+            jobs: obs.gauge_with("cluster.worker_jobs", labels),
+            train_s: obs.gauge_with("cluster.worker_train_s", labels),
+            hw_s: obs.gauge_with("cluster.worker_hw_s", labels),
+            panics: obs.gauge_with("cluster.worker_panics", labels),
+            migrants: obs.gauge_with("cluster.worker_migrants", labels),
+            latency: obs.histogram_with("cluster.worker_eval_s", labels),
+            profiler: obs.profiler(),
+            addr,
+            index,
+            health,
+        }
+    }
+
+    fn set_state(&self, state: WorkerState) {
+        if let Some(h) = &self.health {
+            h.set_state(self.index, state);
+        }
+    }
+
+    fn mark_seen(&self) {
+        if let Some(h) = &self.health {
+            h.mark_seen(self.index);
+        }
+    }
+
+    /// Folds one absorbed `Stats` frame into the telemetry plane:
+    /// labeled gauges, the health cell, and (when both sides profile)
+    /// a replace-by-name graft of the worker's subtree under
+    /// `worker:<addr>` in the master tree.
+    fn absorb(&self, resp: &WorkerResponse) {
+        let WorkerResponse::Stats {
+            jobs,
+            train_s,
+            hw_s,
+            panics,
+            migrants,
+            profile,
+        } = resp
+        else {
+            return;
+        };
+        self.jobs.set(*jobs as f64);
+        self.train_s.set(*train_s);
+        self.hw_s.set(*hw_s);
+        self.panics.set(*panics as f64);
+        self.migrants.set(*migrants as f64);
+        if let Some(h) = &self.health {
+            h.record_stats(self.index, *jobs, *train_s, *hw_s, *panics, *migrants);
+        }
+        self.mark_seen();
+        if let (Some(profiler), Some(p)) = (&self.profiler, profile) {
+            if let Some(node) = rt::prof::ProfileNode::from_json(p) {
+                profiler.attach_subtree(&format!("worker:{}", self.addr), node);
+            }
+        }
+    }
+}
+
+/// How a remote exchange failed, after classification.
+enum RemoteFailure {
+    /// Environment trouble (disconnect, deadline, stale response): the
+    /// job retries through the ledger, the slot reconnects.
+    Transient(String),
+    /// Protocol/version trouble, or the reconnect budget spent: the
+    /// worker is unusable and its slot retires.
+    Permanent(String),
+}
+
+impl From<NetError> for RemoteFailure {
+    fn from(e: NetError) -> Self {
+        if e.is_transient() {
+            RemoteFailure::Transient(e.to_string())
+        } else {
+            RemoteFailure::Permanent(e.to_string())
+        }
+    }
+}
+
+/// The remote transport of an evaluation slot: a framed session with
+/// one worker, opened on demand and reopened after transient failures
+/// with seeded jittered backoff. Network failures come back as
+/// transient-infeasible measurements for the ledger's retry machinery;
+/// a worker whose reconnect budget is spent is lost, and the slot
+/// retires with that report.
+pub(crate) struct RemoteTransport {
+    plan: Arc<ClusterPlan>,
+    telemetry: SlotTelemetry,
+    /// Acknowledges the slot's exit to the master's bounded drain wait.
+    done: Sender<()>,
+    session: Option<RemoteSession>,
+    /// Sessions opened so far: the low half of the next session stamp.
+    connects: u64,
+    /// Seeded jitter so a cluster's reconnect storms de-correlate
+    /// deterministically, per worker (same scheme as the engine's retry
+    /// backoff).
+    jitter: StdRng,
+}
+
+impl RemoteTransport {
+    /// A transport to worker `index` of `plan`, not yet connected.
+    pub(crate) fn new(
+        plan: &Arc<ClusterPlan>,
+        index: usize,
+        seed: u64,
+        health: &Option<Arc<ClusterHealth>>,
+        done: &Sender<()>,
+        obs: &Obs,
+    ) -> Self {
+        let addr = plan.options.workers[index].clone();
+        Self {
+            jitter: StdRng::seed_from_u64(seed ^ addr_salt(&addr) ^ 0xBAC_0FF),
+            telemetry: SlotTelemetry::new(addr, index, health.clone(), obs),
+            plan: Arc::clone(plan),
+            done: done.clone(),
+            session: None,
+            connects: 0,
+        }
+    }
+
+    /// Evaluates one job on the worker, connecting first when no
+    /// session is live.
+    pub(crate) fn evaluate(
+        &mut self,
+        slot: usize,
+        id: usize,
+        genome: &CandidateGenome,
+        obs: &Obs,
+    ) -> Report {
+        let started = Instant::now();
+        let result = self.connect(slot, obs).and_then(|mut session| {
+            let report = session.exchange(id, genome, slot, obs, &self.telemetry)?;
+            self.session = Some(session);
+            Ok(report)
+        });
+        let t = &self.telemetry;
+        let (reason, retired) = match result {
+            Ok(report) => {
+                t.mark_seen();
+                t.latency.record(started.elapsed().as_secs_f64());
+                return report;
+            }
+            Err(RemoteFailure::Transient(reason)) => {
+                rt::trace!(
+                    obs,
+                    "worker_disconnected",
+                    addr = t.addr.as_str(),
+                    error = reason.as_str(),
+                );
+                t.set_state(WorkerState::Reconnecting);
+                (format!("net: {reason}"), false)
+            }
+            Err(RemoteFailure::Permanent(reason)) => {
+                rt::warn!(
+                    obs,
+                    "worker_lost",
+                    addr = t.addr.as_str(),
+                    error = reason.as_str(),
+                );
+                t.set_state(WorkerState::Lost);
+                (format!("worker lost: {reason}"), true)
+            }
+        };
+        let mut measurement = Measurement::infeasible(InfeasibleReason::Transient(reason));
+        measurement.eval_time_s = started.elapsed().as_secs_f64();
+        Report {
+            slot,
+            id,
+            measurement,
+            panicked: false,
+            migrants: Vec::new(),
+            retired,
+        }
+    }
+
+    /// Takes the live session, or opens one. Transient connect failures
+    /// retry with seeded jittered backoff; a spent `connect_retries`
+    /// budget, like any non-transient failure, is permanent.
+    fn connect(&mut self, slot: usize, obs: &Obs) -> Result<RemoteSession, RemoteFailure> {
+        if let Some(session) = self.session.take() {
+            return Ok(session);
+        }
+        let (t, opts) = (&self.telemetry, &self.plan.options);
+        let mut attempt = 0usize;
+        loop {
+            let stamp = ((slot as u64) << 32) | self.connects;
+            match RemoteSession::open(&t.addr, &self.plan, stamp) {
+                Ok(session) => {
+                    self.connects += 1;
+                    rt::trace!(
+                        obs,
+                        "worker_connected",
+                        addr = t.addr.as_str(),
+                        slot = slot,
+                        stamp = format!("{stamp:016x}"),
+                    );
+                    t.set_state(WorkerState::Connected);
+                    t.mark_seen();
+                    return Ok(session);
+                }
+                Err(e) => {
+                    attempt += 1;
+                    rt::warn!(
+                        obs,
+                        "worker_connect_failed",
+                        addr = t.addr.as_str(),
+                        attempt = attempt,
+                        error = e.to_string(),
+                    );
+                    t.set_state(WorkerState::Reconnecting);
+                    if !e.is_transient() || attempt >= opts.connect_retries.max(1) {
+                        return Err(RemoteFailure::Permanent(e.to_string()));
+                    }
+                    let base = opts.reconnect_backoff.as_millis() as u64;
+                    let ceiling = (base << attempt.min(6)).max(1);
+                    std::thread::sleep(Duration::from_millis(
+                        self.jitter.gen_range(base..=base + ceiling),
+                    ));
+                }
+            }
+        }
+    }
+
+    /// The slot's exit: a best-effort `kill_all` on the live session,
+    /// then the drain acknowledgement.
+    pub(crate) fn close(&mut self) {
+        if let Some(session) = self.session.take() {
+            session.kill(&self.telemetry);
+        }
+        let _ = self.done.send(());
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Worker server
 // ---------------------------------------------------------------------------
 
@@ -996,8 +1356,7 @@ impl Island {
         let mut migrants = Vec::new();
         for _ in 0..self.k {
             let child = self.breed();
-            let m = catch_unwind(AssertUnwindSafe(|| evaluator.evaluate(&child)))
-                .unwrap_or_else(|_| Measurement::infeasible(InfeasibleReason::WorkerPanic));
+            let (m, _) = evaluate_guarded(evaluator, &child);
             self.observe(&child, &m);
             if m.hw.is_feasible() {
                 migrants.push((child, m));
@@ -1072,20 +1431,11 @@ impl WorkerSession {
     }
 
     fn evaluate(&mut self, id: u64, stamp: u64, genome: &CandidateGenome) -> WorkerResponse {
-        let started = Instant::now();
         // Ambient install: kernel/model `prof_span!`s inside the
         // evaluator nest under an `evaluate` phase of the session tree.
         let install = self.profiler.as_ref().map(rt::prof::Profiler::install);
         let eval_span = self.profiler.as_ref().map(|p| p.enter("evaluate"));
-        let (measurement, panicked) =
-            match catch_unwind(AssertUnwindSafe(|| self.evaluator.evaluate(genome))) {
-                Ok(m) => (m, false),
-                Err(_) => {
-                    let mut m = Measurement::infeasible(InfeasibleReason::WorkerPanic);
-                    m.eval_time_s = started.elapsed().as_secs_f64();
-                    (m, true)
-                }
-            };
+        let (measurement, panicked) = evaluate_guarded(&self.evaluator, genome);
         drop(eval_span);
         // The job's own events, drained before any island work so
         // island-local evaluations never leak into the replay stream.
@@ -1330,7 +1680,7 @@ pub fn run_worker(addr: &str, options: WorkerOptions, obs: Obs) -> io::Result<()
 
 /// FNV-1a over an address string — the per-worker salt for seeded
 /// reconnect backoff jitter.
-pub(crate) fn addr_salt(addr: &str) -> u64 {
+fn addr_salt(addr: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in addr.as_bytes() {
         h ^= *b as u64;
@@ -1343,6 +1693,7 @@ pub(crate) fn addr_salt(addr: &str) -> u64 {
 mod tests {
     use super::*;
     use crate::space::SearchSpace;
+    use crate::workers::Evaluator;
     use ecad_dataset::synth::SyntheticSpec;
 
     fn tiny_dataset(seed: u64) -> Dataset {

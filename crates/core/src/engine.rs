@@ -8,8 +8,10 @@
 //!   one member replaced per step, rather than generational sweeps;
 //! * **tournament selection** for parents and worst-of-tournament
 //!   replacement for survivors;
-//! * a **worker pool** over `rt::sync` channels — each worker thread owns
-//!   a shared [`Evaluator`] and scores candidates concurrently;
+//! * a **worker pool** over `rt::sync` channels: every slot runs one
+//!   claim → evaluate → report loop over a transport — the shared
+//!   [`Evaluator`] in process, or a framed session with one remote
+//!   worker ([`crate::cluster`]) — and reports on one result channel;
 //! * a **dedup cache**: "potential NNA/HW candidates are first analyzed
 //!   for similarities to previous evaluations and duplicates are not
 //!   evaluated twice" (Table III note). Cache hits cost no evaluation
@@ -42,12 +44,9 @@
 //! arrival order feeds back into breeding).
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rt::net::{Conn, NetError};
 use rt::obs::{Counter, Gauge, HistogramHandle, Obs};
 use rt::rand::rngs::StdRng;
 use rt::rand::{Rng, RngCore, SeedableRng};
@@ -58,16 +57,13 @@ use crate::analytics::{
     AnalyticsConfig, EpochTracker, OperatorKind, PopulationSnapshot, StatusCell,
 };
 use crate::checkpoint::{CheckpointError, CheckpointPolicy, CheckpointState, Counters, PendingJob};
-use crate::cluster::{
-    addr_salt, ClusterHealth, ClusterPlan, CoordinatorRequest, Migrant, WorkerResponse,
-    WorkerState, COORDINATOR_ROLE, WORKER_ROLE,
-};
+use crate::cluster::{ClusterHealth, ClusterPlan, RemoteTransport};
 use crate::fitness::ObjectiveSet;
 use crate::genome::CandidateGenome;
 use crate::measurement::{FailureKind, InfeasibleReason, Measurement};
 use crate::protocol::{DispatchLedger, Job, ResultClass};
 use crate::space::SearchSpace;
-use crate::workers::Evaluator;
+use crate::workers::{evaluate_guarded, Evaluator};
 
 /// How the steady-state loop selects survivors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,7 +244,7 @@ pub struct Engine {
     halt_after: Option<usize>,
     shutdown: ShutdownFlag,
     status: StatusCell,
-    cluster: Option<ClusterPlan>,
+    cluster: Option<Arc<ClusterPlan>>,
     cluster_health: Option<Arc<ClusterHealth>>,
 }
 
@@ -345,490 +341,167 @@ impl Instruments {
     }
 }
 
-/// Spawns one local in-process evaluation slot. Used for every slot of
-/// a non-cluster run, and again mid-run when a cluster run loses its
-/// last remote worker and degrades to local evaluation.
-fn spawn_local_slot(
+/// A job on its way to a slot: dispatch id and candidate.
+type SlotJob = (usize, CandidateGenome);
+
+/// A slot's report on one job. Everything the master must observe
+/// from its slots — verdicts, migrants, a slot retiring — arrives as
+/// one of these on the one result channel.
+pub(crate) struct Report {
+    /// Supervisor index of the reporting slot. Remote slots are spawned
+    /// first, so a remote slot's index is its worker index.
+    pub(crate) slot: usize,
+    pub(crate) id: usize,
+    /// The verdict; a transport failure is a transient-infeasible one.
+    pub(crate) measurement: Measurement,
+    /// The evaluation panicked (the slot emits the panic warning).
+    pub(crate) panicked: bool,
+    /// Island elites that came back with the job, folded after its
+    /// verdict.
+    pub(crate) migrants: Vec<(CandidateGenome, Measurement)>,
+    /// The transport is gone for good (a lost remote worker): the slot
+    /// exits after this report, and the master routes nothing more to
+    /// it.
+    pub(crate) retired: bool,
+}
+
+/// How a slot reaches its evaluator.
+enum Transport {
+    /// In-process evaluation under the panic guard.
+    Local(Arc<dyn Evaluator>),
+    /// A framed session with one remote worker.
+    Remote(RemoteTransport),
+}
+
+impl Transport {
+    fn evaluate(&mut self, slot: usize, id: usize, genome: &CandidateGenome, obs: &Obs) -> Report {
+        match self {
+            Transport::Local(evaluator) => {
+                let (measurement, panicked) = evaluate_guarded(evaluator.as_ref(), genome);
+                Report {
+                    slot,
+                    id,
+                    measurement,
+                    panicked,
+                    migrants: Vec::new(),
+                    retired: false,
+                }
+            }
+            Transport::Remote(remote) => remote.evaluate(slot, id, genome, obs),
+        }
+    }
+}
+
+/// Spawns one evaluation slot running the claim → span → evaluate →
+/// release → report loop. Each generation of the slot opens its own
+/// transport, so a respawned remote slot starts without a session.
+/// Every slot of a run is one of these, including the local slots a
+/// cluster run spawns when it loses its last remote worker.
+fn spawn_slot(
     supervisor: &mut Supervisor,
-    req_rx: Receiver<(usize, CandidateGenome)>,
-    res_tx: Sender<(usize, Measurement)>,
-    evaluator: Arc<dyn Evaluator>,
+    jobs: Receiver<SlotJob>,
+    results: Sender<Report>,
+    open: impl Fn() -> Transport + Send + Sync + 'static,
     obs: Obs,
 ) {
     supervisor.spawn(move |ctx| {
-        // Kernel-level prof_span! sites (gemm, activation, …)
-        // inside the evaluator record under the engine's tree.
-        let _prof_install = obs.profiler().map(|p| p.install());
-        loop {
-            let (id, genome) = match req_rx.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            };
+        let mut transport = open();
+        let local = matches!(transport, Transport::Local(_));
+        // Kernel-level prof_span! sites (gemm, activation, …) inside a
+        // local evaluator record under the engine's tree. A remote slot
+        // only waits on the wire: it never consults the profiler, so the
+        // worker's own tick domain (grafted via `Stats`) stays the only
+        // profile it contributes, and its span close event stays
+        // byte-identical to a local slot's.
+        let _prof_install = obs.profiler().filter(|_| local).map(|p| p.install());
+        let mut retired = false;
+        while let Ok((id, genome)) = jobs.recv() {
             ctx.claim(id as u64);
-            let started = Instant::now();
-            let m = {
-                let _span = rt::span!(obs, "evaluate", worker = ctx.slot(), id = id);
-                catch_unwind(AssertUnwindSafe(|| evaluator.evaluate(&genome))).unwrap_or_else(
-                    |_| {
-                        rt::warn!(
-                            obs,
-                            "infeasible",
-                            stage = "worker",
-                            reason = InfeasibleReason::WorkerPanic.kind(),
-                        );
-                        let mut m = Measurement::infeasible(InfeasibleReason::WorkerPanic);
-                        // The failed attempt consumed real wall
-                        // clock; Table III's totals must include it.
-                        m.eval_time_s = started.elapsed().as_secs_f64();
-                        m
-                    },
-                )
-            };
-            ctx.release(id as u64);
-            if res_tx.send((id, m)).is_err() || !ctx.is_current() {
-                return;
-            }
-        }
-    });
-}
-
-/// An established coordinator-side session with one remote worker.
-struct RemoteSession {
-    conn: Conn,
-    stamp: u64,
-}
-
-impl RemoteSession {
-    /// Best-effort `kill_all` on shutdown: the worker's listen loop
-    /// exits once the coordinator is done with it. The worker sends a
-    /// final cumulative `Stats` frame (its complete profile subtree)
-    /// before `Bye`; absorb it so short runs still graft every
-    /// worker's tree into the master profile.
-    fn kill(mut self, telemetry: &SlotTelemetry) {
-        if let Ok(req) = CoordinatorRequest::KillAll.to_json() {
-            if self.conn.send(&req).is_ok() {
-                // Bounded drain: Bye, or a dead peer — either way done.
-                for _ in 0..8 {
-                    let Ok(frame) = self.conn.recv() else { break };
-                    match WorkerResponse::from_json(&frame) {
-                        Ok(stats @ WorkerResponse::Stats { .. }) => telemetry.absorb(&stats),
-                        Ok(WorkerResponse::Bye) | Err(_) => break,
-                        Ok(_) => {} // stale frame; keep draining
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Out-of-band telemetry context for one remote slot: labeled metric
-/// handles, the shared health registry, and the coordinator profiler
-/// that worker subtrees graft into. Everything absorbed here lands in
-/// read-only side channels (metrics registry, health cells, profile
-/// grafts) — never the trace, the RNG streams, or the ledger — so the
-/// byte-identity contracts are untouched.
-struct SlotTelemetry {
-    addr: String,
-    index: usize,
-    health: Option<Arc<ClusterHealth>>,
-    profiler: Option<rt::prof::Profiler>,
-    jobs: rt::obs::Gauge,
-    train_s: rt::obs::Gauge,
-    hw_s: rt::obs::Gauge,
-    panics: rt::obs::Gauge,
-    migrants: rt::obs::Gauge,
-    latency: rt::obs::HistogramHandle,
-}
-
-impl SlotTelemetry {
-    fn new(addr: String, index: usize, health: Option<Arc<ClusterHealth>>, obs: &Obs) -> Self {
-        let labels: &[(&str, &str)] = &[("worker", addr.as_str())];
-        Self {
-            jobs: obs.gauge_with("cluster.worker_jobs", labels),
-            train_s: obs.gauge_with("cluster.worker_train_s", labels),
-            hw_s: obs.gauge_with("cluster.worker_hw_s", labels),
-            panics: obs.gauge_with("cluster.worker_panics", labels),
-            migrants: obs.gauge_with("cluster.worker_migrants", labels),
-            latency: obs.histogram_with("cluster.worker_eval_s", labels),
-            profiler: obs.profiler(),
-            addr,
-            index,
-            health,
-        }
-    }
-
-    fn set_state(&self, state: WorkerState) {
-        if let Some(h) = &self.health {
-            h.set_state(self.index, state);
-        }
-    }
-
-    fn mark_seen(&self) {
-        if let Some(h) = &self.health {
-            h.mark_seen(self.index);
-        }
-    }
-
-    /// Folds one absorbed `Stats` frame into the telemetry plane:
-    /// labeled gauges, the health cell, and (when both sides profile)
-    /// a replace-by-name graft of the worker's subtree under
-    /// `worker:<addr>` in the master tree.
-    fn absorb(&self, resp: &WorkerResponse) {
-        let WorkerResponse::Stats {
-            jobs,
-            train_s,
-            hw_s,
-            panics,
-            migrants,
-            profile,
-        } = resp
-        else {
-            return;
-        };
-        self.jobs.set(*jobs as f64);
-        self.train_s.set(*train_s);
-        self.hw_s.set(*hw_s);
-        self.panics.set(*panics as f64);
-        self.migrants.set(*migrants as f64);
-        if let Some(h) = &self.health {
-            h.record_stats(self.index, *jobs, *train_s, *hw_s, *panics, *migrants);
-        }
-        self.mark_seen();
-        if let (Some(profiler), Some(p)) = (&self.profiler, profile) {
-            if let Some(node) = rt::prof::ProfileNode::from_json(p) {
-                profiler.attach_subtree(&format!("worker:{}", self.addr), node);
-            }
-        }
-    }
-}
-
-/// How a remote exchange failed, after classification.
-enum RemoteFailure {
-    /// Environment trouble (disconnect, deadline, stale response): the
-    /// job retries through the ledger, the slot reconnects.
-    Transient(String),
-    /// Protocol/version trouble: the worker is unusable; its slot
-    /// retires after reporting the current job transient.
-    Permanent(String),
-}
-
-impl From<NetError> for RemoteFailure {
-    fn from(e: NetError) -> Self {
-        if e.is_transient() {
-            RemoteFailure::Transient(e.to_string())
-        } else {
-            RemoteFailure::Permanent(e.to_string())
-        }
-    }
-}
-
-/// Connects, handshakes, and opens a session with a `setup` frame.
-fn connect_session(
-    addr: &str,
-    plan: &ClusterPlan,
-    stamp: u64,
-) -> Result<RemoteSession, NetError> {
-    let opts = &plan.options;
-    let mut conn = Conn::connect(addr, opts.net_timeout, opts.max_frame)?;
-    conn.set_io_timeout(Some(opts.net_timeout))?;
-    conn.handshake_client(COORDINATOR_ROLE, Some(WORKER_ROLE))?;
-    conn.send(&CoordinatorRequest::Setup(Box::new(plan.setup.clone()), stamp).to_json()?)?;
-    match WorkerResponse::from_json(&conn.recv()?)? {
-        WorkerResponse::Ready { stamp: s } if s == stamp => Ok(RemoteSession { conn, stamp }),
-        other => Err(NetError::Protocol(format!(
-            "expected ready({stamp:016x}), got {other:?}"
-        ))),
-    }
-}
-
-/// One evaluate/evaluated exchange on an open session. Responses whose
-/// id or stamp does not match the outstanding job are *stale* — fenced
-/// here (below the ledger's own id fencing) and classified transient so
-/// the connection resyncs.
-#[allow(clippy::type_complexity)]
-fn remote_exchange(
-    session: &mut RemoteSession,
-    id: usize,
-    genome: &CandidateGenome,
-    obs: &Obs,
-    telemetry: &SlotTelemetry,
-) -> Result<
-    (
-        Measurement,
-        bool,
-        Vec<rt::obs::Event>,
-        Vec<(CandidateGenome, Measurement)>,
-    ),
-    RemoteFailure,
-> {
-    session.conn.send(
-        &CoordinatorRequest::Evaluate {
-            id: id as u64,
-            stamp: session.stamp,
-            genome: genome.clone(),
-        }
-        .to_json()
-        .map_err(RemoteFailure::from)?,
-    )
-    .map_err(RemoteFailure::from)?;
-    // Workers piggyback cumulative `Stats` frames on the session;
-    // absorb any that precede the answer (telemetry is out-of-band, so
-    // this never changes what the ledger sees).
-    let frame = loop {
-        let frame = session.conn.recv().map_err(RemoteFailure::from)?;
-        if let Ok(stats @ WorkerResponse::Stats { .. }) = WorkerResponse::from_json(&frame) {
-            telemetry.absorb(&stats);
-            continue;
-        }
-        break frame;
-    };
-    match WorkerResponse::from_json(&frame).map_err(RemoteFailure::from)? {
-        WorkerResponse::Evaluated {
-            id: rid,
-            stamp,
-            measurement,
-            panicked,
-            events,
-            migrants,
-        } => {
-            if rid != id as u64 || stamp != session.stamp {
-                rt::warn!(
-                    obs,
-                    "stale_remote_result",
-                    id = rid as usize,
-                    expected = id,
-                    stamp = format!("{stamp:016x}"),
-                );
-                return Err(RemoteFailure::Transient(format!(
-                    "stale response for job {rid} (wanted {id})"
-                )));
-            }
-            Ok((measurement, panicked, events, migrants))
-        }
-        other => Err(RemoteFailure::Transient(format!(
-            "expected evaluated, got {other:?}"
-        ))),
-    }
-}
-
-/// Spawns a remote evaluation slot bound to one worker address. The
-/// slot mirrors the local body exactly — same claim/span/release/send
-/// choreography, same `ecad_core::engine` event target — but the
-/// evaluation crosses a framed TCP session, the worker's captured
-/// evaluation events are replayed inside the coordinator's own
-/// `evaluate` span, and network failures surface as transient
-/// measurements for the ledger's retry machinery.
-#[allow(clippy::too_many_arguments)]
-fn spawn_remote_slot(
-    supervisor: &mut Supervisor,
-    addr: String,
-    plan: ClusterPlan,
-    seed: u64,
-    index: usize,
-    req_rx: Receiver<(usize, CandidateGenome)>,
-    forward: Sender<(usize, CandidateGenome)>,
-    res_tx: Sender<(usize, Measurement)>,
-    mig_tx: Sender<Migrant>,
-    live: Arc<AtomicUsize>,
-    alive: Arc<Vec<AtomicBool>>,
-    health: Option<Arc<ClusterHealth>>,
-    done: Sender<()>,
-    obs: Obs,
-) {
-    supervisor.spawn(move |ctx| {
-        let opts = &plan.options;
-        let telemetry = SlotTelemetry::new(addr.clone(), index, health.clone(), &obs);
-        let mut session: Option<RemoteSession> = None;
-        let mut connects: u64 = 0;
-        // Seeded jitter so a cluster's reconnect storms de-correlate
-        // deterministically, per worker (same scheme as the engine's
-        // retry backoff).
-        let mut jitter = StdRng::seed_from_u64(seed ^ addr_salt(&addr) ^ 0xBAC_0FF);
-        let mut lost = false;
-        loop {
-            let (id, genome) = match req_rx.recv() {
-                Ok(job) => job,
-                Err(_) => {
-                    if let Some(s) = session.take() {
-                        s.kill(&telemetry);
-                    }
-                    let _ = done.send(());
-                    return;
-                }
-            };
-            ctx.claim(id as u64);
-            let started = Instant::now();
-            let m = {
-                // Detached: never consults an ambient profiler, so the
-                // worker's own tick domain (grafted via `Stats`) stays
-                // the only profile this slot contributes, and the close
-                // event stays byte-identical to a local slot's.
-                let _span = rt::span_detached!(obs, "evaluate", worker = ctx.slot(), id = id);
-                // (Re)connect with seeded backoff, bounded by the
-                // reconnect budget.
-                let mut failure: Option<RemoteFailure> = None;
-                let mut attempt = 0usize;
-                while session.is_none() {
-                    let stamp = ((ctx.slot() as u64) << 32) | connects;
-                    match connect_session(&addr, &plan, stamp) {
-                        Ok(s) => {
-                            connects += 1;
-                            rt::trace!(
-                                obs,
-                                "worker_connected",
-                                addr = addr.as_str(),
-                                slot = ctx.slot(),
-                                stamp = format!("{stamp:016x}"),
-                            );
-                            telemetry.set_state(WorkerState::Connected);
-                            telemetry.mark_seen();
-                            session = Some(s);
-                        }
-                        Err(e) => {
-                            attempt += 1;
-                            rt::warn!(
-                                obs,
-                                "worker_connect_failed",
-                                addr = addr.as_str(),
-                                attempt = attempt,
-                                error = e.to_string(),
-                            );
-                            telemetry.set_state(WorkerState::Reconnecting);
-                            if !e.is_transient() || attempt >= opts.connect_retries.max(1) {
-                                failure = Some(RemoteFailure::Permanent(e.to_string()));
-                                break;
-                            }
-                            let base = opts.reconnect_backoff.as_millis() as u64;
-                            let ceiling = (base << attempt.min(6)).max(1);
-                            std::thread::sleep(Duration::from_millis(
-                                jitter.gen_range(base..=base + ceiling),
-                            ));
-                        }
-                    }
-                }
-                let outcome = match (&mut session, failure) {
-                    (_, Some(f)) => Err(f),
-                    (Some(s), None) => remote_exchange(s, id, &genome, &obs, &telemetry),
-                    (None, None) => unreachable!("no session and no failure"),
+            let mut report = {
+                let _span = if local {
+                    rt::span!(obs, "evaluate", worker = ctx.slot(), id = id)
+                } else {
+                    rt::span_detached!(obs, "evaluate", worker = ctx.slot(), id = id)
                 };
-                match outcome {
-                    Ok((m, panicked, events, migrants)) => {
-                        telemetry.mark_seen();
-                        telemetry.latency.record(started.elapsed().as_secs_f64());
-                        // Replay the worker's captured evaluation events
-                        // inside this span, so the coordinator's JSONL is
-                        // byte-identical to a local run's.
-                        for event in events {
-                            obs.emit_event(event);
-                        }
-                        if panicked {
-                            rt::warn!(
-                                obs,
-                                "infeasible",
-                                stage = "worker",
-                                reason = InfeasibleReason::WorkerPanic.kind(),
-                            );
-                        }
-                        for (g, mm) in migrants {
-                            let _ = mig_tx.send(Migrant {
-                                slot: ctx.slot(),
-                                genome: g,
-                                measurement: mm,
-                            });
-                        }
-                        m
-                    }
-                    Err(RemoteFailure::Transient(reason)) => {
-                        rt::trace!(
-                            obs,
-                            "worker_disconnected",
-                            addr = addr.as_str(),
-                            error = reason.as_str(),
-                        );
-                        telemetry.set_state(WorkerState::Reconnecting);
-                        session = None;
-                        let mut m = Measurement::infeasible(InfeasibleReason::Transient(
-                            format!("net: {reason}"),
-                        ));
-                        m.eval_time_s = started.elapsed().as_secs_f64();
-                        m
-                    }
-                    Err(RemoteFailure::Permanent(reason)) => {
-                        lost = true;
-                        rt::warn!(
-                            obs,
-                            "worker_lost",
-                            addr = addr.as_str(),
-                            error = reason.as_str(),
-                        );
-                        telemetry.set_state(WorkerState::Lost);
-                        // Retire the routing flag *before* the transient
-                        // result reaches the master: the retry it
-                        // triggers must route to a surviving slot (or
-                        // the shared queue), never back here, or it
-                        // would burn a third strike of the retry budget.
-                        alive[index].store(false, Ordering::Release);
-                        live.fetch_sub(1, Ordering::AcqRel);
-                        session = None;
-                        let mut m = Measurement::infeasible(InfeasibleReason::Transient(
-                            format!("worker lost: {reason}"),
-                        ));
-                        m.eval_time_s = started.elapsed().as_secs_f64();
-                        m
-                    }
+                let report = transport.evaluate(ctx.slot(), id, &genome, &obs);
+                if report.panicked {
+                    rt::warn!(
+                        obs,
+                        "infeasible",
+                        stage = "worker",
+                        reason = InfeasibleReason::WorkerPanic.kind(),
+                    );
                 }
+                report
             };
             ctx.release(id as u64);
-            if res_tx.send((id, m)).is_err() || !ctx.is_current() {
-                if let Some(s) = session.take() {
-                    s.kill(&telemetry);
-                }
-                let _ = done.send(());
-                return;
+            // With the claim released no deadline can respawn this slot,
+            // so the generation check is final. Only the current
+            // generation retires the slot; an abandoned one leaves that
+            // to its replacement.
+            let current = ctx.is_current();
+            report.retired &= current;
+            retired = report.retired;
+            if results.send(report).is_err() || retired || !current {
+                break;
             }
-            if lost {
-                // The routing flag flipped before the transient result
-                // went out, so new jobs avoid this queue; forward any
-                // that raced the flip to the shared queue, where the
-                // degradation path's local slots (or surviving remote
-                // fallback) evaluate them properly. The done ack waits
-                // for the master to drop this slot's queue.
-                while let Ok(job) = req_rx.recv() {
-                    let _ = forward.send(job);
-                }
-                let _ = done.send(());
-                return;
+        }
+        // The loop's single exit. Only the slot's current generation, or
+        // a slot that retired, closes a remote transport: `kill_all` plus
+        // the one drain acknowledgement the master counts. An abandoned
+        // generation just drops its session.
+        if retired || ctx.is_current() {
+            if let Transport::Remote(remote) = &mut transport {
+                remote.close();
             }
         }
     });
 }
 
-/// Where dispatched jobs go. Cluster jobs go to slot `id % n` — a
-/// deterministic assignment, so each worker's job stream (and hence its
-/// ticks-clock profile subtree) is reproducible — falling back to the
-/// next alive slot once one retires. A retired slot forwards any job
-/// that raced its retirement to the shared local queue, where the
-/// master hands it back to [`Router::route`]; jobs fall through to that
-/// queue too when no remote slot remains (the degradation path's local
-/// slots consume it).
-struct Router {
-    remote: Vec<Sender<(usize, CandidateGenome)>>,
-    alive: Arc<Vec<AtomicBool>>,
-    local: Sender<(usize, CandidateGenome)>,
+/// Where dispatched jobs go. Remote jobs go to the surviving slot
+/// `alive[id % alive.len()]` — `id % n` until a slot retires — a
+/// deterministic assignment, so each worker's job stream (and hence
+/// its ticks-clock profile subtree) is reproducible. Local slots share
+/// one queue, which takes every job once no remote slot survives. The
+/// master holds a receiver of every queue, so it drains a retired
+/// slot's queue itself.
+struct Routes {
+    local: (Sender<SlotJob>, Receiver<SlotJob>),
+    remote: Vec<(Sender<SlotJob>, Receiver<SlotJob>)>,
+    alive: Vec<usize>,
 }
 
-impl Router {
-    fn route(&self, id: usize, genome: CandidateGenome) {
-        let n = self.remote.len();
-        for k in 0..n {
-            let slot = (id + k) % n;
-            if self.alive[slot].load(Ordering::Acquire)
-                && self.remote[slot].send((id, genome.clone())).is_ok()
-            {
-                return;
-            }
+impl Routes {
+    fn new(remote_slots: usize) -> Self {
+        Self {
+            local: channel::unbounded(),
+            remote: (0..remote_slots).map(|_| channel::unbounded()).collect(),
+            alive: (0..remote_slots).collect(),
         }
-        self.local.send((id, genome)).expect("workers alive");
+    }
+
+    fn route(&self, id: usize, genome: CandidateGenome) {
+        let queue = match self.alive.len() {
+            0 => &self.local.0,
+            n => &self.remote[self.alive[id % n]].0,
+        };
+        queue
+            .send((id, genome))
+            .expect("the master holds every receiver");
+    }
+
+    /// Marks remote slot `slot` dead and re-routes the jobs still queued
+    /// on it. They were never evaluated, so they move on without
+    /// spending a retry. Returns whether the last remote slot retired.
+    fn retire(&mut self, slot: usize) -> bool {
+        let Some(at) = self.alive.iter().position(|&s| s == slot) else {
+            return false;
+        };
+        self.alive.remove(at);
+        while let Ok((id, genome)) = self.remote[slot].1.try_recv() {
+            self.route(id, genome);
+        }
+        self.alive.is_empty()
     }
 }
 
@@ -905,17 +578,19 @@ impl Engine {
     }
 
     /// Routes evaluation to remote cluster workers instead of local
-    /// threads: one supervised slot per worker address, each holding a
-    /// framed TCP session ([`crate::cluster`]). Network failures are
-    /// classified transient (the job retries through the ordinary
-    /// ledger machinery, possibly on another worker); a worker whose
-    /// reconnect budget is exhausted retires its slot; and when every
+    /// threads: one supervised slot per worker address, running the
+    /// same slot loop as a local run over a framed TCP session
+    /// ([`crate::cluster`]). Network failures are classified transient
+    /// (the job retries through the ordinary ledger machinery, possibly
+    /// on another worker). A worker whose reconnect budget is exhausted
+    /// retires its slot: the master marks it dead and re-routes its
+    /// queued jobs to the survivors without spending a retry. When every
     /// remote is lost the engine degrades to `config.threads` local
     /// in-process slots with a warning rather than dying. With an empty
     /// worker list the plan is ignored.
     pub fn with_cluster(mut self, plan: ClusterPlan) -> Self {
         if !plan.options.workers.is_empty() {
-            self.cluster = Some(plan);
+            self.cluster = Some(Arc::new(plan));
         }
         self
     }
@@ -965,128 +640,44 @@ impl Engine {
         self.status.note_started();
         let mut master = Master::new(self, restored);
 
-        let (req_tx, req_rx) = channel::unbounded::<(usize, CandidateGenome)>();
-        let (res_tx, res_rx) = channel::unbounded::<(usize, Measurement)>();
-        let (mig_tx, mig_rx) = channel::unbounded::<Migrant>();
+        let (res_tx, res_rx) = channel::unbounded::<Report>();
         let (done_tx, done_rx) = channel::unbounded::<()>();
 
         // Workers live in supervised slots on detached threads: a hung
         // evaluation can be abandoned (scoped threads would force a
-        // join that never returns). They exit when the router drops or
+        // join that never returns). They exit when the routes drop or
         // when their generation goes stale after a respawn. In cluster
-        // mode each slot instead proxies one remote worker; the
-        // pipeline depth follows the slot count so the fill loop keeps
-        // every slot busy either way.
+        // mode each slot instead proxies one remote worker.
         let remote_workers = self.cluster.as_ref().map_or(0, |p| p.options.workers.len());
-        let mut pipeline_depth = if remote_workers > 0 {
-            remote_workers
-        } else {
-            cfg.threads
-        };
-        let live_remotes = Arc::new(AtomicUsize::new(remote_workers));
-        let mut degraded = false;
+        let mut routes = Routes::new(remote_workers);
         let mut supervisor = Supervisor::new();
-        // Per-slot queues so cluster jobs route deterministically
-        // (`id % workers`), giving every worker a reproducible job
-        // stream — the property that makes cross-wire profile
-        // subtrees byte-stable under the ticks clock. The shared
-        // `req_tx` queue stays as the local/degradation path.
-        let slot_alive: Arc<Vec<AtomicBool>> =
-            Arc::new((0..remote_workers).map(|_| AtomicBool::new(true)).collect());
-        let mut remote_txs: Vec<Sender<(usize, CandidateGenome)>> = Vec::new();
-        if let Some(plan) = &self.cluster {
-            for (index, addr) in plan.options.workers.iter().enumerate() {
-                let (slot_tx, slot_rx) = channel::unbounded::<(usize, CandidateGenome)>();
-                remote_txs.push(slot_tx);
-                spawn_remote_slot(
-                    &mut supervisor,
-                    addr.clone(),
-                    plan.clone(),
-                    cfg.seed,
-                    index,
-                    slot_rx,
-                    req_tx.clone(),
-                    res_tx.clone(),
-                    mig_tx.clone(),
-                    Arc::clone(&live_remotes),
-                    Arc::clone(&slot_alive),
-                    self.cluster_health.clone(),
-                    done_tx.clone(),
-                    self.obs.clone(),
-                );
+        match &self.cluster {
+            Some(plan) => {
+                for (index, (_, jobs)) in routes.remote.iter().enumerate() {
+                    let (plan, health) = (Arc::clone(plan), self.cluster_health.clone());
+                    let (done, obs) = (done_tx.clone(), self.obs.clone());
+                    let open = move || {
+                        let remote =
+                            RemoteTransport::new(&plan, index, cfg.seed, &health, &done, &obs);
+                        Transport::Remote(remote)
+                    };
+                    spawn_slot(
+                        &mut supervisor,
+                        jobs.clone(),
+                        res_tx.clone(),
+                        open,
+                        self.obs.clone(),
+                    );
+                }
             }
-        } else {
-            for _ in 0..cfg.threads {
-                spawn_local_slot(
-                    &mut supervisor,
-                    req_rx.clone(),
-                    res_tx.clone(),
-                    Arc::clone(&self.evaluator),
-                    self.obs.clone(),
-                );
-            }
+            None => self.spawn_local_slots(&mut supervisor, &routes, &res_tx),
         }
-        // Kept only for cluster degradation, which spawns local slots
-        // mid-run; otherwise workers (via the supervisor) hold the
-        // clones and the master never sends results.
-        let degrade_res_tx = (remote_workers > 0).then(|| res_tx.clone());
-        drop(res_tx);
-        drop(mig_tx); // remote slots hold the clones
-        drop(done_tx);
-        let router = Router {
-            remote: remote_txs,
-            alive: slot_alive,
-            local: req_tx,
-        };
+        drop(done_tx); // remote slots hold the clones
 
         let mut halted = false;
         loop {
             let halt_requested = self.shutdown.is_requested()
                 || self.halt_after.is_some_and(|n| master.trace.len() >= n);
-
-            if remote_workers > 0 {
-                while let Ok(migrant) = mig_rx.try_recv() {
-                    master.fold_migrant(migrant);
-                }
-                // Jobs a retired slot forwarded off its queue land on
-                // the shared queue; while remotes survive, hand them
-                // back to the router (once none do, the degradation
-                // path's local slots consume the queue instead).
-                while !degraded && router.alive.iter().any(|a| a.load(Ordering::Acquire)) {
-                    let Ok((id, genome)) = req_rx.try_recv() else {
-                        break;
-                    };
-                    router.route(id, genome);
-                }
-                // Graceful degradation: when the last remote slot has
-                // retired, warn and fall back to local in-process
-                // evaluation rather than dying with jobs in flight.
-                if !degraded && live_remotes.load(Ordering::Acquire) == 0 {
-                    degraded = true;
-                    rt::warn!(
-                        self.obs,
-                        "cluster_degraded",
-                        local_slots = cfg.threads,
-                    );
-                    if let Some(health) = &self.cluster_health {
-                        health.set_degraded();
-                    }
-                    let res_tx = degrade_res_tx
-                        .clone()
-                        .expect("degrade sender retained in cluster mode");
-                    for _ in 0..cfg.threads {
-                        spawn_local_slot(
-                            &mut supervisor,
-                            req_rx.clone(),
-                            res_tx.clone(),
-                            Arc::clone(&self.evaluator),
-                            self.obs.clone(),
-                        );
-                    }
-                    pipeline_depth = cfg.threads;
-                }
-            }
-
             if halt_requested {
                 halted = true;
                 // Trace level for the same reason as "resume": the
@@ -1096,62 +687,74 @@ impl Engine {
                 master.save_checkpoint();
                 break;
             }
-            master.fill(&router, pipeline_depth);
+            // One job per configured worker while any remote survives
+            // (queued jobs wait for a live slot), else one per local slot.
+            let pipeline_depth = if routes.alive.is_empty() {
+                cfg.threads
+            } else {
+                remote_workers
+            };
+            master.fill(&routes, pipeline_depth);
             if master.ledger.quiescent() {
                 break;
             }
 
-            // Sleep until a result arrives or the earliest deadline —
+            // Sleep until a report arrives or the earliest deadline —
             // and, while a slot is free, the earliest retry-ready time.
             // With every slot busy a ready retry cannot be dispatched,
-            // so waking for it would only spin. Before a cluster run
-            // has degraded, cap the sleep so the master observes
-            // migrants and lost workers even when no result will ever
-            // arrive (e.g. every remote unreachable from the start).
+            // so waking for it would only spin. Every event the master
+            // must observe from its slots arrives as a report.
             let wake = if master.ledger.in_flight_len() < pipeline_depth {
                 master.ledger.next_wake()
             } else {
                 master.ledger.next_deadline()
             };
-            let wake = if remote_workers > 0 && !degraded {
-                let poll = Instant::now() + Duration::from_millis(100);
-                Some(wake.map_or(poll, |w| w.min(poll)))
-            } else {
-                wake
-            };
             let received = match wake {
                 None => Some(res_rx.recv().expect("worker pool alive")),
                 Some(deadline) => match res_rx.recv_deadline(deadline) {
-                    Ok(msg) => Some(msg),
+                    Ok(report) => Some(report),
                     Err(RecvTimeoutError::Timeout) => None,
                     Err(RecvTimeoutError::Disconnected) => {
                         unreachable!("supervisor retains worker senders")
                     }
                 },
             };
-            match received {
-                Some((id, measurement)) => master.on_result(id, measurement),
-                None => master.expire_overdue(&mut supervisor),
+            let Some(report) = received else {
+                master.expire_overdue(&mut supervisor);
+                continue;
+            };
+            // A retiring slot is marked dead before anything else, so
+            // neither its queued jobs nor the retry its report may
+            // schedule can land on it again.
+            if report.retired && routes.retire(report.slot) {
+                // Graceful degradation: the last remote slot retired;
+                // warn and fall back to local in-process evaluation
+                // rather than dying with jobs in flight.
+                rt::warn!(self.obs, "cluster_degraded", local_slots = cfg.threads);
+                if let Some(health) = &self.cluster_health {
+                    health.set_degraded();
+                }
+                self.spawn_local_slots(&mut supervisor, &routes, &res_tx);
+            }
+            master.on_result(report.id, report.measurement);
+            for (genome, measurement) in report.migrants {
+                master.fold_migrant(report.slot, genome, measurement);
             }
         }
-        // Idle workers drain and exit; retired slots stop forwarding
-        // and acknowledge.
-        drop(router);
+        // Idle slots drain and exit.
+        drop(routes);
 
         // Remote slots answer the drain by killing their sessions — a
         // best-effort `kill_all` so workers wind down now instead of
         // waiting out their idle timeout. Slots are detached threads,
         // so wait (briefly, bounded) for each one's acknowledgement;
         // without this a coordinator process can exit before the
-        // handshake reaches the wire. Slots retired earlier (lost
-        // workers, stale generations) have already acknowledged.
-        if remote_workers > 0 {
-            let grace = Instant::now() + Duration::from_secs(2);
-            for _ in 0..remote_workers {
-                let now = Instant::now();
-                if now >= grace || done_rx.recv_timeout(grace - now).is_err() {
-                    break;
-                }
+        // handshake reaches the wire. Slots that retired earlier have
+        // already acknowledged.
+        let grace = Instant::now() + Duration::from_secs(2);
+        for _ in 0..remote_workers {
+            if done_rx.recv_deadline(grace).is_err() {
+                break;
             }
         }
 
@@ -1175,6 +778,26 @@ impl Engine {
             trace: master.trace,
             stats,
             halted,
+        }
+    }
+
+    /// Spawns `config.threads` local slots on the shared local queue.
+    fn spawn_local_slots(
+        &self,
+        supervisor: &mut Supervisor,
+        routes: &Routes,
+        results: &Sender<Report>,
+    ) {
+        for _ in 0..self.config.threads {
+            let evaluator = Arc::clone(&self.evaluator);
+            let open = move || Transport::Local(Arc::clone(&evaluator));
+            spawn_slot(
+                supervisor,
+                routes.local.1.clone(),
+                results.clone(),
+                open,
+                self.obs.clone(),
+            );
         }
     }
 
@@ -1499,7 +1122,7 @@ impl<'e> Master<'e> {
     /// it to a slot.
     fn dispatch(
         &mut self,
-        router: &Router,
+        routes: &Routes,
         genome: CandidateGenome,
         attempt: usize,
         op: OperatorKind,
@@ -1509,7 +1132,7 @@ impl<'e> Master<'e> {
         let deadline = self.engine.config.eval_timeout.map(|t| Instant::now() + t);
         self.ledger
             .dispatch(id as u64, (genome.clone(), op), attempt, deadline);
-        router.route(id, genome);
+        routes.route(id, genome);
         id
     }
 
@@ -1517,7 +1140,7 @@ impl<'e> Master<'e> {
     /// backoff has elapsed first, then fresh candidates — remaining
     /// seeds, then bred children. Fresh duplicates are served from the
     /// dedup cache on the spot, at no budget and no worker round-trip.
-    fn fill(&mut self, router: &Router, depth: usize) {
+    fn fill(&mut self, routes: &Routes, depth: usize) {
         let engine = self.engine;
         let cfg = engine.config;
         let now = Instant::now();
@@ -1526,7 +1149,7 @@ impl<'e> Master<'e> {
                 break;
             };
             let key = format!("{:016x}", genome.cache_key());
-            let id = self.dispatch(router, genome, attempt, op);
+            let id = self.dispatch(routes, genome, attempt, op);
             // Attempt 0 is restored work that never reported.
             if attempt == 0 {
                 rt::debug!(engine.obs, "submit", id = id, key = key);
@@ -1576,7 +1199,7 @@ impl<'e> Master<'e> {
                 key = format!("{key:016x}"),
             );
             self.counters.submitted_unique += 1;
-            self.dispatch(router, genome, 0, op);
+            self.dispatch(routes, genome, 0, op);
         }
     }
 
@@ -1711,34 +1334,34 @@ impl<'e> Master<'e> {
         }
     }
 
-    /// Folds an island migrant into the population. Deliberately
-    /// outside the trace/budget/rng streams: migrants spend worker-side
-    /// compute only, replace the current worst member
-    /// deterministically, and seed the dedup cache so the coordinator
-    /// never re-evaluates one.
-    fn fold_migrant(&mut self, migrant: Migrant) {
+    /// Folds an island migrant from remote slot `slot` into the
+    /// population. Deliberately outside the trace/budget/rng streams:
+    /// migrants spend worker-side compute only, replace the current
+    /// worst member deterministically, and seed the dedup cache so the
+    /// coordinator never re-evaluates one.
+    fn fold_migrant(&mut self, slot: usize, genome: CandidateGenome, measurement: Measurement) {
         let engine = self.engine;
-        let key = migrant.genome.cache_key();
+        let key = genome.cache_key();
         if self.cache.contains_key(&key) {
             return;
         }
-        self.cache.insert(key, migrant.measurement.clone());
-        let fitness = engine.objectives.scalar(&migrant.measurement);
+        self.cache.insert(key, measurement.clone());
+        let fitness = engine.objectives.scalar(&measurement);
         self.metrics.migrants.inc();
         rt::info!(
             engine.obs,
             "migration",
-            slot = migrant.slot,
+            slot = slot,
             key = format!("{key:016x}"),
             fitness = fitness,
-            accuracy = migrant.measurement.accuracy,
+            accuracy = measurement.accuracy,
         );
         if !fitness.is_finite() {
             return;
         }
         let eval = Evaluated {
-            genome: migrant.genome,
-            measurement: migrant.measurement,
+            genome,
+            measurement,
             fitness,
         };
         let population = &mut self.population;

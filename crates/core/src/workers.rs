@@ -17,6 +17,7 @@
 //! [`Measurement::infeasible`] rather than an error — the engine scores
 //! them at zero fitness and moves on.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use ecad_dataset::Dataset;
@@ -69,6 +70,28 @@ pub trait Evaluator: Send + Sync {
 
     /// Name of the hardware this evaluator scores against.
     fn target_name(&self) -> String;
+}
+
+/// Runs one evaluation with failure isolation: a panicking evaluator
+/// comes back as a [`InfeasibleReason::WorkerPanic`] measurement whose
+/// `eval_time_s` is the wall clock the failed attempt consumed (Table
+/// III's totals must include it). The flag reports the panic.
+///
+/// The one guarded evaluation shared by the engine's local slots, the
+/// cluster worker's sessions and its islands.
+pub(crate) fn evaluate_guarded(
+    evaluator: &dyn Evaluator,
+    genome: &CandidateGenome,
+) -> (Measurement, bool) {
+    let started = Instant::now();
+    match catch_unwind(AssertUnwindSafe(|| evaluator.evaluate(genome))) {
+        Ok(m) => (m, false),
+        Err(_) => {
+            let mut m = Measurement::infeasible(InfeasibleReason::WorkerPanic);
+            m.eval_time_s = started.elapsed().as_secs_f64();
+            (m, true)
+        }
+    }
 }
 
 /// The production evaluator: trains the candidate topology on the

@@ -1,8 +1,10 @@
 //! End-to-end cluster tests over loopback TCP: a seeded single-worker
 //! cluster run must be byte-identical to the local engine (the event
 //! capture/replay contract), a coordinator that loses every worker must
-//! degrade to local evaluation and still finish, and a worker killed
-//! mid-search must cost only retries — never the result.
+//! degrade to local evaluation and still finish, a worker killed
+//! mid-search must cost only retries — never the result — and a lost
+//! worker's queued jobs must move to the survivor without spending
+//! any.
 
 use std::io::Write;
 use std::sync::atomic::Ordering;
@@ -356,6 +358,39 @@ fn coordinator_degrades_to_local_when_no_worker_is_reachable() {
     );
     assert!(trace.contains("\"event\":\"worker_lost\""));
     assert!(trace.contains("\"event\":\"search_end\""));
+}
+
+#[test]
+fn lost_worker_queue_is_rerouted_to_the_survivor_without_spending_retries() {
+    let ds = dataset();
+    // Slot 0 points at a port nothing listens on: it spends its
+    // reconnect budget on job 0 while job 2 (`2 % 2 == 0`) queues
+    // behind it. Its retirement re-routes job 2 to the survivor
+    // untouched, so the only retry is job 0's own.
+    let (addr, worker, _stop) = spawn_worker();
+    let (trace, result) = traced(|obs| {
+        base_search(&ds, obs)
+            .cluster(ClusterOptions {
+                workers: vec!["127.0.0.1:9".to_string(), addr.clone()],
+                connect_retries: 2,
+                reconnect_backoff: Duration::from_millis(50),
+                ..ClusterOptions::default()
+            })
+            .run()
+    });
+    worker.join().expect("worker exits after kill_all");
+
+    assert_eq!(result.stats().models_evaluated, 14);
+    assert_eq!(
+        result.stats().retry_count,
+        1,
+        "only the dying slot's own job retries; its queued job moves for free"
+    );
+    assert_eq!(trace.matches("\"event\":\"worker_lost\"").count(), 1);
+    assert!(
+        !trace.contains("\"event\":\"cluster_degraded\""),
+        "a surviving worker keeps the run out of degraded mode"
+    );
 }
 
 #[test]

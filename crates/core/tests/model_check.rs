@@ -623,3 +623,166 @@ fn checker_catches_unfenced_stale_replies() {
         failure.message
     );
 }
+
+// ---------------------------------------------------------------------------
+// Suite 5: remote slot retires → master marks it dead → drains its
+// queue → re-routes the queued jobs to the survivor.
+// ---------------------------------------------------------------------------
+
+/// The engine's lost-worker routing: per-slot queues of which the
+/// master keeps a receiver, `id % alive` routing over the surviving
+/// slots, and one result channel. Slot 0's worker may be lost on any
+/// job: the slot reports that job transient, says it retires, and
+/// exits — leaving whatever sat behind it in its queue. Slot 1 is
+/// healthy. The master dispatches three jobs at once, so one can queue
+/// behind the dying slot.
+///
+/// The `mark_dead_first` knob is the protocol under test, mirroring
+/// `Routes::retire` in the engine: the shipped master marks a retiring
+/// slot dead, then drains its queue and re-routes the drained jobs —
+/// all before any further fill. The mutant drains on receipt too, but
+/// marks the slot dead only after the next fill, so the re-route and
+/// the fill can still send work to the dead queue, which nothing will
+/// ever drain again.
+///
+/// Invariants: every job gets exactly one final verdict, and no
+/// drained job spends an attempt (it was never evaluated).
+fn retire_and_drain_model(mark_dead_first: bool) {
+    const SLOTS: usize = 2;
+    const DEPTH: usize = 3;
+    const MAX_RETRIES: usize = 1;
+    /// Virtual time only advances once every thread is blocked: a
+    /// master still waiting this long is waiting on a job no slot holds.
+    const STUCK_TICKS: u64 = 1_000_000;
+
+    // (slot, id, verdict, retired): `None` is a transient failure.
+    let (res_tx, res_rx) = channel::unbounded::<(usize, u64, Option<u32>, bool)>();
+    let mut queues = Vec::new();
+    let mut slot_handles = Vec::new();
+    for slot in 0..SLOTS {
+        let (job_tx, job_rx) = channel::unbounded::<(u64, u32)>();
+        let res_tx = res_tx.clone();
+        let slot_rx = job_rx.clone();
+        slot_handles.push(sched::spawn(move || {
+            while let Ok((id, job)) = slot_rx.recv() {
+                let lost = slot == 0 && sched::choice(2) == 1;
+                let verdict = (!lost).then_some(job + 1_000);
+                if res_tx.send((slot, id, verdict, lost)).is_err() || lost {
+                    return;
+                }
+            }
+        }));
+        queues.push((job_tx, job_rx));
+    }
+    drop(res_tx);
+
+    let route = |alive: &[usize], id: u64, job: u32| {
+        let slot = alive[id as usize % alive.len()];
+        queues[slot]
+            .0
+            .send((id, job))
+            .expect("master holds a receiver");
+    };
+    let mut alive: Vec<usize> = (0..SLOTS).collect();
+    let mut ledger: DispatchLedger<u32, u64> = DispatchLedger::new();
+    let mut to_submit = vec![9u32, 8, 7];
+    let mut next_id = 0u64;
+    let mut drained: Vec<u32> = Vec::new();
+    let mut dead_after_fill: Option<usize> = None;
+    let mut verdicts: Vec<(u32, usize)> = Vec::new();
+
+    loop {
+        while ledger.in_flight_len() < DEPTH {
+            let (job, attempt) = if let Some((attempt, job)) = ledger.pop_ready_retry(sched::now())
+            {
+                (job, attempt)
+            } else if let Some(job) = to_submit.pop() {
+                (job, 0)
+            } else {
+                break;
+            };
+            let id = next_id;
+            next_id += 1;
+            ledger.dispatch(id, job, attempt, None);
+            route(&alive, id, job);
+        }
+        if let Some(slot) = dead_after_fill.take() {
+            alive.retain(|&s| s != slot);
+        }
+        if ledger.quiescent() && to_submit.is_empty() {
+            break;
+        }
+
+        let Ok((slot, id, verdict, retired)) =
+            res_rx.recv_timeout(Duration::from_nanos(STUCK_TICKS))
+        else {
+            break; // a job is stranded on a dead queue
+        };
+        if retired && alive.contains(&slot) {
+            if mark_dead_first {
+                alive.retain(|&s| s != slot);
+            } else {
+                dead_after_fill = Some(slot);
+            }
+            let queued: Vec<(u64, u32)> =
+                std::iter::from_fn(|| queues[slot].1.try_recv().ok()).collect();
+            for (id, job) in queued {
+                drained.push(job);
+                route(&alive, id, job);
+            }
+        }
+        match ledger.take_result(id) {
+            ResultClass::Fresh(done) => match verdict {
+                Some(payload) => {
+                    assert_eq!(
+                        payload,
+                        done.payload + 1_000,
+                        "result paired with wrong job"
+                    );
+                    verdicts.push((done.payload, done.attempt));
+                }
+                None if done.attempt < MAX_RETRIES => {
+                    ledger.schedule_retry(sched::now(), done.attempt + 1, done.payload);
+                }
+                None => verdicts.push((done.payload, done.attempt)),
+            },
+            other => panic!("slot result for id {id} misclassified as {other:?}"),
+        }
+    }
+
+    drop(queues);
+    for handle in slot_handles {
+        handle.join();
+    }
+    let mut jobs: Vec<u32> = verdicts.iter().map(|&(job, _)| job).collect();
+    jobs.sort_unstable();
+    assert_eq!(
+        jobs,
+        vec![7, 8, 9],
+        "each job gets exactly one final verdict, got {verdicts:?}"
+    );
+    for &(job, attempt) in &verdicts {
+        assert!(
+            !drained.contains(&job) || attempt == 0,
+            "drained job {job} spent an attempt"
+        );
+    }
+}
+
+#[test]
+fn retire_and_drain_holds_across_interleavings() {
+    sched::check(budget(), || retire_and_drain_model(true)).assert_pass();
+}
+
+#[test]
+fn checker_catches_fill_before_marking_the_slot_dead() {
+    let report = sched::check(budget(), || retire_and_drain_model(false));
+    let failure = report
+        .failure
+        .expect("mutant that routes to a retired slot must be caught");
+    assert!(
+        failure.message.contains("exactly one final verdict"),
+        "caught the wrong bug: {}",
+        failure.message
+    );
+}
