@@ -15,7 +15,6 @@ use rt::rand::SeedableRng;
 pub fn register(c: &mut Criterion) {
     bench_gemm(c);
     bench_gemm_variants_256(c);
-    bench_gemm_threaded(c);
     bench_gemm_mlp_shapes(c);
     bench_backprop_kernels(c);
     bench_softmax_and_loss(c);
@@ -60,28 +59,6 @@ fn bench_gemm_variants_256(c: &mut Criterion) {
     c.bench_function("gemm/bias/256", |bench| {
         bench.iter(|| gemm::matmul_bias(black_box(&a), black_box(&b), black_box(&bias)))
     });
-}
-
-/// Threaded-vs-single pair at the gate's reference size. Output bits
-/// are identical by the determinism contract; only wall clock may
-/// differ. The thread setting is restored to 1 so no other suite runs
-/// parallel by accident.
-fn bench_gemm_threaded(c: &mut Criterion) {
-    const N: usize = 256;
-    let mut rng = StdRng::seed_from_u64(7);
-    let a = init::uniform(&mut rng, N, N, 1.0);
-    let b = init::uniform(&mut rng, N, N, 1.0);
-    let mut group = c.benchmark_group("gemm_threads");
-    gemm::set_threads(1);
-    group.bench_with_input(BenchmarkId::new("single", N), &N, |bench, _| {
-        bench.iter(|| gemm::matmul(black_box(&a), black_box(&b)))
-    });
-    gemm::set_threads(4);
-    group.bench_with_input(BenchmarkId::new("quad", N), &N, |bench, _| {
-        bench.iter(|| gemm::matmul(black_box(&a), black_box(&b)))
-    });
-    gemm::set_threads(1);
-    group.finish();
 }
 
 fn bench_gemm_mlp_shapes(c: &mut Criterion) {

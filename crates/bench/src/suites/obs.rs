@@ -54,8 +54,8 @@ fn bench_labeled_emission(c: &mut Criterion) {
 
 fn bench_prometheus_render(c: &mut Criterion) {
     let obs = Obs::builder().build();
-    // A registry shaped like a mid-size cluster run: 16 workers, five
-    // labeled gauge families plus a latency histogram each.
+    // A registry shaped like a mid-size cluster run: 16 workers, the
+    // four labeled gauge families plus a latency histogram each.
     for i in 0..16 {
         let addr = format!("10.0.0.{i}:7000");
         let labels: &[(&str, &str)] = &[("worker", addr.as_str())];
@@ -63,7 +63,6 @@ fn bench_prometheus_render(c: &mut Criterion) {
         obs.gauge_with("cluster.worker_train_s", labels).set(1.5);
         obs.gauge_with("cluster.worker_hw_s", labels).set(0.5);
         obs.gauge_with("cluster.worker_panics", labels).set(0.0);
-        obs.gauge_with("cluster.worker_migrants", labels).set(2.0);
         let h = obs.histogram_with("cluster.worker_eval_s", labels);
         for k in 0..8 {
             h.record(0.01 * f64::from(k + 1));

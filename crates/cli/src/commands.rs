@@ -49,7 +49,7 @@ impl From<ArgError> for CliError {
 
 const USAGE: &str = "usage:
   ecad search   --data TABLE.csv [--config ECAD.ini] [--trace OUT.csv]
-                [--seed N] [--threads N] [--gemm-threads N] [--evaluations N]
+                [--seed N] [--threads N] [--evaluations N]
                 [--log-level trace|debug|info|warn|off]
                 [--trace-out OUT.jsonl] [--metrics] [--serve ADDR]
                 [--checkpoint STATE.json [--checkpoint-every N] [--resume]]
@@ -75,7 +75,7 @@ const USAGE: &str = "usage:
                    [--max-frame BYTES] [--io-timeout SECS] [--idle-timeout SECS]
   ecad cluster search --workers HOST:PORT,... [all `ecad search` flags]
                    [--net-timeout SECS] [--connect-retries N]
-                   [--reconnect-backoff-ms MS] [--island-every N] [--island-k N]
+                   [--reconnect-backoff-ms MS]
                    (--serve ADDR also exposes per-worker /workers JSON)";
 
 /// Runs the CLI against `argv` (program name excluded), returning the
@@ -184,7 +184,6 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
         "trace",
         "seed",
         "threads",
-        "gemm-threads",
         "evaluations",
         "log-level",
         "trace-out",
@@ -202,8 +201,6 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
         "net-timeout",
         "connect-retries",
         "reconnect-backoff-ms",
-        "island-every",
-        "island-k",
     ])?;
     if p.is_set("resume") && p.get("checkpoint").is_none() {
         return Err(CliError::Domain(
@@ -255,18 +252,10 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
                 "reconnect-backoff-ms",
                 options.reconnect_backoff.as_millis() as u64,
             )?);
-            options.island_every = p.get_parse("island-every", options.island_every)?;
-            options.island_k = p.get_parse("island-k", options.island_k)?;
             Some(options)
         }
         None => {
-            for flag in [
-                "net-timeout",
-                "connect-retries",
-                "reconnect-backoff-ms",
-                "island-every",
-                "island-k",
-            ] {
+            for flag in ["net-timeout", "connect-retries", "reconnect-backoff-ms"] {
                 if p.get(flag).is_some() {
                     return Err(CliError::Domain(format!(
                         "--{flag} requires --workers <host:port,...>"
@@ -289,10 +278,6 @@ fn cmd_search(p: &Parsed) -> Result<String, CliError> {
     };
     config.evolution.seed = p.get_parse("seed", config.evolution.seed)?;
     config.evolution.threads = p.get_parse("threads", config.evolution.threads)?;
-    // GEMM lanes inside each candidate's training; bit-identical
-    // results at any value per the tensor kernels' determinism
-    // contract, so this only affects wall clock.
-    config.trainer.gemm_threads = p.get_parse("gemm-threads", config.trainer.gemm_threads)?;
     config.evolution.evaluations = p.get_parse("evaluations", config.evolution.evaluations)?;
     if let Some(secs) = p.get("eval-timeout") {
         let secs = secs.parse::<f64>().ok().filter(|s| s.is_finite() && *s >= 0.0).ok_or_else(|| {
@@ -1033,8 +1018,7 @@ mod tests {
     /// End-to-end cluster path through the CLI: `ecad cluster worker`
     /// serves a seeded `ecad cluster search`, the coordinator's JSONL
     /// trace is byte-identical to the plain local run's, and the
-    /// `trace` validator pins the lifecycle kinds. A second run with
-    /// islands enabled pins the `migration` event kind.
+    /// `trace` validator pins the lifecycle kinds.
     #[test]
     fn cluster_search_loopback_matches_local_and_pins_trace_kinds() {
         let dir = std::env::temp_dir().join("ecad_cli_cluster_test");
@@ -1086,24 +1070,6 @@ mod tests {
         )))
         .unwrap();
         assert!(report.contains("all lines parse"));
-
-        // Islands on: elite migrants fold into the coordinator and the
-        // validator sees the `migration` kind.
-        let (port, worker) = spawn_worker();
-        let island_jsonl = dir.join("island.jsonl");
-        run(argv(&format!(
-            "cluster search {base} --workers 127.0.0.1:{port} --connect-retries 6 \
-             --island-every 2 --island-k 1 --trace-out {}",
-            island_jsonl.display()
-        )))
-        .unwrap();
-        worker.join().unwrap().unwrap();
-        let report = run(argv(&format!(
-            "trace --file {} --require migration",
-            island_jsonl.display()
-        )))
-        .unwrap();
-        assert!(report.contains("migration"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1118,7 +1084,7 @@ mod tests {
             Err(CliError::Args(ArgError::UnknownCommand(_)))
         ));
         // Cluster tuning flags are meaningless without workers.
-        let err = run(argv("search --data nowhere.csv --island-every 2")).unwrap_err();
+        let err = run(argv("search --data nowhere.csv --net-timeout 2")).unwrap_err();
         assert!(err.to_string().contains("requires --workers"));
         // An empty worker list is rejected before any search work.
         let err = run(argv("cluster search --data nowhere.csv --workers ,")).unwrap_err();

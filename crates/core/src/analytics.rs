@@ -841,7 +841,6 @@ pub fn workers_json(obs: &Obs, health: &crate::cluster::ClusterHealth) -> Json {
                 .insert("train_s", w.train_s)
                 .insert("hw_s", w.hw_s)
                 .insert("panics", w.panics)
-                .insert("migrants", w.migrants)
                 .insert("eval_count", lat.count())
                 .insert("eval_p50_s", lat.quantile(0.5))
                 .insert("eval_p95_s", lat.quantile(0.95))
@@ -1290,7 +1289,7 @@ mod tests {
         ]));
         health.set_state(0, WorkerState::Connected);
         health.mark_seen(0);
-        health.record_stats(0, 7, 1.5, 0.5, 1, 2);
+        health.record_stats(0, 7, 1.5, 0.5, 1);
         health.set_state(1, WorkerState::Lost);
         health.set_degraded();
         obs.histogram_with("cluster.worker_eval_s", &[("worker", "10.0.0.1:7000")])
@@ -1314,7 +1313,6 @@ mod tests {
         assert!(w0.get("last_seen_s").and_then(Json::as_f64).is_some());
         assert_eq!(w0.get("jobs").and_then(Json::as_f64), Some(7.0));
         assert_eq!(w0.get("panics").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(w0.get("migrants").and_then(Json::as_f64), Some(2.0));
         assert_eq!(w0.get("eval_count").and_then(Json::as_f64), Some(1.0));
         let p50 = w0.get("eval_p50_s").and_then(Json::as_f64).unwrap();
         assert!((p50 - 0.25).abs() < 0.05, "bucketed p50 near 0.25, got {p50}");

@@ -27,9 +27,10 @@
 //! ```
 //!
 //! [`SetupPayload`] ships everything an evaluation needs — the
-//! standardized train/test split, trainer hyperparameters, the catalog
-//! device, the search space, and the objective set — so the worker
-//! process needs no filesystem or configuration of its own. The
+//! standardized train/test split, trainer hyperparameters and the
+//! catalog device — so the worker process needs no filesystem or
+//! configuration of its own. Workers only evaluate: breeding and
+//! ranking stay on the coordinator. The
 //! `stamp` is a per-session generation nonce: every `Evaluated` echoes
 //! it, and the coordinator drops responses whose stamp (or job id)
 //! does not match the current session — stale-result fencing one layer
@@ -43,16 +44,7 @@
 //! response and are replayed verbatim on the coordinator inside its
 //! own `evaluate` span. A seeded single-worker cluster run therefore
 //! produces a Debug-level JSONL trace byte-identical to the local
-//! engine's (absent an attached profiler, and with islands off).
-//!
-//! ## Islands
-//!
-//! With `island_every = N > 0`, each worker hosts an island: an elite
-//! pool fed by the jobs it evaluates plus its own seeded local
-//! evolution. Every N jobs it breeds and evaluates `island_k` children
-//! and migrates the feasible ones to the coordinator, which folds them
-//! into the population (never spending coordinator budget) and emits
-//! `migration` trace events.
+//! engine's (absent an attached profiler).
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,7 +55,7 @@ use ecad_dataset::Dataset;
 use ecad_hw::cpu::CpuDevice;
 use ecad_hw::fpga::FpgaDevice;
 use ecad_hw::gpu::GpuDevice;
-use ecad_mlp::{Activation, OptimizerKind, TrainConfig};
+use ecad_mlp::{OptimizerKind, TrainConfig};
 use ecad_tensor::Matrix;
 use rt::json::{get_array, get_f64, get_hex_u64, get_str, get_usize, Json};
 use rt::net::{Conn, Listener, NetError};
@@ -74,10 +66,8 @@ use rt::sync::channel::Sender;
 
 use crate::checkpoint::{genome_from_json, genome_to_json, measurement_from_json, measurement_to_json};
 use crate::engine::Report;
-use crate::fitness::{Objective, ObjectiveSet};
 use crate::genome::CandidateGenome;
 use crate::measurement::{InfeasibleReason, Measurement};
-use crate::space::{HwFamily, SearchSpace};
 use crate::workers::{evaluate_guarded, CodesignEvaluator, HwTarget};
 
 /// Role string the coordinator announces in its hello.
@@ -99,11 +89,6 @@ pub struct ClusterOptions {
     pub connect_retries: usize,
     /// Base reconnect backoff; doubles per attempt with seeded jitter.
     pub reconnect_backoff: Duration,
-    /// Migrate worker-island elites every N jobs (`0` disables islands
-    /// and preserves byte-identical traces).
-    pub island_every: usize,
-    /// Children each island breeds and evaluates per migration.
-    pub island_k: usize,
     /// Frame-size ceiling for every connection.
     pub max_frame: usize,
     /// Workers piggyback a `Stats` telemetry frame after every N
@@ -119,8 +104,6 @@ impl Default for ClusterOptions {
             net_timeout: Duration::from_secs(30),
             connect_retries: 3,
             reconnect_backoff: Duration::from_millis(50),
-            island_every: 0,
-            island_k: 2,
             max_frame: rt::net::DEFAULT_MAX_FRAME,
             stats_every: 4,
         }
@@ -133,8 +116,8 @@ impl Default for ClusterOptions {
 pub struct ClusterPlan {
     /// Coordinator-side knobs.
     pub options: ClusterOptions,
-    /// The session-opening payload (datasets, trainer, device, space,
-    /// objectives, seed, island config).
+    /// The session-opening payload (datasets, trainer, device, seed,
+    /// telemetry settings).
     pub setup: SetupPayload,
 }
 
@@ -187,8 +170,6 @@ pub struct WorkerHealthSnapshot {
     pub hw_s: f64,
     /// Worker-side panics (latest `Stats`).
     pub panics: u64,
-    /// Island migrants shipped (latest `Stats`).
-    pub migrants: u64,
 }
 
 #[derive(Debug)]
@@ -200,7 +181,6 @@ struct WorkerHealthCell {
     train_s: f64,
     hw_s: f64,
     panics: u64,
-    migrants: u64,
 }
 
 /// Shared per-worker health registry: the engine's remote slots write
@@ -228,7 +208,6 @@ impl ClusterHealth {
                         train_s: 0.0,
                         hw_s: 0.0,
                         panics: 0,
-                        migrants: 0,
                     })
                     .collect(),
             ),
@@ -257,21 +236,12 @@ impl ClusterHealth {
     }
 
     /// Folds an absorbed `Stats` frame's counters into `slot`.
-    pub fn record_stats(
-        &self,
-        slot: usize,
-        jobs: u64,
-        train_s: f64,
-        hw_s: f64,
-        panics: u64,
-        migrants: u64,
-    ) {
+    pub fn record_stats(&self, slot: usize, jobs: u64, train_s: f64, hw_s: f64, panics: u64) {
         self.with_cell(slot, |c| {
             c.jobs = jobs;
             c.train_s = train_s;
             c.hw_s = hw_s;
             c.panics = panics;
-            c.migrants = migrants;
         });
     }
 
@@ -302,7 +272,6 @@ impl ClusterHealth {
                 train_s: c.train_s,
                 hw_s: c.hw_s,
                 panics: c.panics,
-                migrants: c.migrants,
             })
             .collect()
     }
@@ -314,22 +283,6 @@ impl ClusterHealth {
 
 fn wire_err(msg: impl Into<String>) -> NetError {
     NetError::Protocol(msg.into())
-}
-
-fn u32s_to_json(xs: &[u32]) -> Json {
-    Json::Array(xs.iter().map(|&x| Json::Number(x as f64)).collect())
-}
-
-fn u32s_from_json(j: &Json, key: &str) -> Result<Vec<u32>, NetError> {
-    get_array(j, key)?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0 && *v <= u32::MAX as f64)
-                .map(|v| v as u32)
-                .ok_or_else(|| wire_err(format!("field {key:?} holds a non-u32 element")))
-        })
-        .collect()
 }
 
 fn dataset_to_json(d: &Dataset) -> Json {
@@ -400,7 +353,6 @@ fn trainer_to_json(t: &TrainConfig) -> Json {
         .insert("patience", t.patience)
         .insert("min_delta", t.min_delta as f64)
         .insert("weight_decay", t.weight_decay as f64)
-        .insert("gemm_threads", t.gemm_threads)
 }
 
 fn trainer_from_json(j: &Json) -> Result<TrainConfig, NetError> {
@@ -424,12 +376,6 @@ fn trainer_from_json(j: &Json) -> Result<TrainConfig, NetError> {
         patience: get_usize(j, "patience")?,
         min_delta: get_f64(j, "min_delta")? as f32,
         weight_decay: get_f64(j, "weight_decay")? as f32,
-        // Optional for wire compatibility with pre-PR-10 peers; 0
-        // leaves the worker's process-wide GEMM setting untouched.
-        gemm_threads: match j.get("gemm_threads") {
-            Some(_) => get_usize(j, "gemm_threads")?,
-            None => 0,
-        },
     })
 }
 
@@ -479,95 +425,6 @@ pub fn target_from_json(j: &Json) -> Result<HwTarget, NetError> {
     })
 }
 
-fn space_to_json(s: &SearchSpace) -> Json {
-    Json::object()
-        .insert(
-            "family",
-            match s.family {
-                HwFamily::Fpga => "fpga",
-                HwFamily::Gpu => "gpu",
-            },
-        )
-        .insert("min_layers", s.min_layers)
-        .insert("max_layers", s.max_layers)
-        .insert("min_neurons", s.min_neurons)
-        .insert("max_neurons", s.max_neurons)
-        .insert(
-            "activations",
-            Json::Array(
-                s.activations
-                    .iter()
-                    .map(|a| Json::String(a.name().to_string()))
-                    .collect(),
-            ),
-        )
-        .insert("grid_dims", u32s_to_json(&s.grid_dims))
-        .insert("interleaves", u32s_to_json(&s.interleaves))
-        .insert("vec_widths", u32s_to_json(&s.vec_widths))
-        .insert("batches", u32s_to_json(&s.batches))
-}
-
-fn space_from_json(j: &Json) -> Result<SearchSpace, NetError> {
-    let family = match get_str(j, "family")? {
-        "fpga" => HwFamily::Fpga,
-        "gpu" => HwFamily::Gpu,
-        other => return Err(wire_err(format!("unknown hw family {other:?}"))),
-    };
-    let activations = get_array(j, "activations")?
-        .iter()
-        .map(|a| {
-            a.as_str()
-                .and_then(Activation::from_name)
-                .ok_or_else(|| wire_err("unknown activation in space"))
-        })
-        .collect::<Result<Vec<_>, NetError>>()?;
-    Ok(SearchSpace {
-        family,
-        min_layers: get_usize(j, "min_layers")?,
-        max_layers: get_usize(j, "max_layers")?,
-        min_neurons: get_usize(j, "min_neurons")?,
-        max_neurons: get_usize(j, "max_neurons")?,
-        activations,
-        grid_dims: u32s_from_json(j, "grid_dims")?,
-        interleaves: u32s_from_json(j, "interleaves")?,
-        vec_widths: u32s_from_json(j, "vec_widths")?,
-        batches: u32s_from_json(j, "batches")?,
-    })
-}
-
-fn objectives_to_json(set: &ObjectiveSet) -> Json {
-    Json::Array(
-        set.objectives()
-            .iter()
-            .map(|o| {
-                Json::object()
-                    .insert("name", o.name.as_str())
-                    .insert("weight", o.weight)
-                    .insert("maximize", o.maximize)
-            })
-            .collect(),
-    )
-}
-
-fn objectives_from_json(j: &Json, key: &str) -> Result<ObjectiveSet, NetError> {
-    let objectives = get_array(j, key)?
-        .iter()
-        .map(|o| {
-            Ok(Objective {
-                name: get_str(o, "name")?.to_string(),
-                weight: get_f64(o, "weight")?,
-                maximize: o
-                    .get("maximize")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| wire_err("objective missing maximize"))?,
-            })
-        })
-        .collect::<Result<Vec<_>, NetError>>()?;
-    // Workers rebuild with the builtin registry: custom registered
-    // fitness functions cannot cross the wire.
-    Ok(ObjectiveSet::new(objectives))
-}
-
 /// The session-opening payload: everything a worker needs to evaluate
 /// genomes for this search, shipped so the worker process carries no
 /// configuration of its own.
@@ -584,14 +441,6 @@ pub struct SetupPayload {
     pub trainer: TrainConfig,
     /// The catalog hardware target.
     pub target: HwTarget,
-    /// The search space (used by worker islands to breed).
-    pub space: SearchSpace,
-    /// The objective set (used by worker islands to rank elites).
-    pub objectives: ObjectiveSet,
-    /// Island cadence (`0` = islands off).
-    pub island_every: usize,
-    /// Island brood size per migration.
-    pub island_k: usize,
     /// When set (`"wall"` / `"ticks"`), the worker profiles each
     /// evaluation under a session-local `rt::prof` profiler with this
     /// clock and ships its subtree in `Stats` frames. The ticks clock
@@ -610,10 +459,6 @@ impl SetupPayload {
             .insert("test", dataset_to_json(&self.test))
             .insert("trainer", trainer_to_json(&self.trainer))
             .insert("target", target_to_json(&self.target)?)
-            .insert("space", space_to_json(&self.space))
-            .insert("objectives", objectives_to_json(&self.objectives))
-            .insert("island_every", self.island_every)
-            .insert("island_k", self.island_k)
             .insert("stats_every", self.stats_every);
         Ok(match &self.profile_clock {
             Some(clock) => j.insert("profile_clock", clock.as_str()),
@@ -636,12 +481,6 @@ impl SetupPayload {
             target: target_from_json(
                 j.get("target").ok_or_else(|| wire_err("setup missing target"))?,
             )?,
-            space: space_from_json(
-                j.get("space").ok_or_else(|| wire_err("setup missing space"))?,
-            )?,
-            objectives: objectives_from_json(j, "objectives")?,
-            island_every: get_usize(j, "island_every")?,
-            island_k: get_usize(j, "island_k")?,
             // Optional so a newer worker accepts an older coordinator's
             // setup frame (absent = telemetry off).
             profile_clock: j
@@ -746,9 +585,6 @@ pub enum WorkerResponse {
         panicked: bool,
         /// Evaluation-time events captured worker-side, for replay.
         events: Vec<Event>,
-        /// Island elites migrating to the coordinator (empty unless
-        /// islands are on and this job crossed a migration boundary).
-        migrants: Vec<(CandidateGenome, Measurement)>,
     },
     /// Periodic telemetry piggybacked on the session: cumulative
     /// session counters plus an optional `rt::prof` subtree export.
@@ -764,8 +600,6 @@ pub enum WorkerResponse {
         hw_s: f64,
         /// Evaluations that panicked worker-side.
         panics: u64,
-        /// Island migrants shipped so far.
-        migrants: u64,
         /// Profile subtree (`ProfileNode::to_json`) when the setup
         /// requested a profile clock.
         profile: Option<Json>,
@@ -787,7 +621,6 @@ impl WorkerResponse {
                 measurement,
                 panicked,
                 events,
-                migrants,
             } => Json::object()
                 .insert("resp", "evaluated")
                 .insert("id", *id)
@@ -797,26 +630,12 @@ impl WorkerResponse {
                 .insert(
                     "events",
                     Json::Array(events.iter().map(Event::to_wire_json).collect()),
-                )
-                .insert(
-                    "migrants",
-                    Json::Array(
-                        migrants
-                            .iter()
-                            .map(|(g, m)| {
-                                Json::object()
-                                    .insert("genome", genome_to_json(g))
-                                    .insert("measurement", measurement_to_json(m))
-                            })
-                            .collect(),
-                    ),
                 ),
             WorkerResponse::Stats {
                 jobs,
                 train_s,
                 hw_s,
                 panics,
-                migrants,
                 profile,
             } => {
                 let j = Json::object()
@@ -824,8 +643,7 @@ impl WorkerResponse {
                     .insert("jobs", *jobs)
                     .insert("train_s", *train_s)
                     .insert("hw_s", *hw_s)
-                    .insert("panics", *panics)
-                    .insert("migrants", *migrants);
+                    .insert("panics", *panics);
                 match profile {
                     Some(p) => j.insert("profile", p.clone()),
                     None => j,
@@ -858,30 +676,12 @@ impl WorkerResponse {
                     .iter()
                     .map(|e| Event::from_wire_json(e).map_err(wire_err))
                     .collect::<Result<Vec<_>, NetError>>()?,
-                migrants: get_array(j, "migrants")?
-                    .iter()
-                    .map(|p| {
-                        Ok((
-                            genome_from_json(
-                                p.get("genome")
-                                    .ok_or_else(|| wire_err("migrant missing genome"))?,
-                            )
-                            .map_err(|e| wire_err(format!("bad migrant genome: {e}")))?,
-                            measurement_from_json(
-                                p.get("measurement")
-                                    .ok_or_else(|| wire_err("migrant missing measurement"))?,
-                            )
-                            .map_err(|e| wire_err(format!("bad migrant measurement: {e}")))?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, NetError>>()?,
             },
             "stats" => WorkerResponse::Stats {
                 jobs: get_usize(j, "jobs")? as u64,
                 train_s: get_f64(j, "train_s")?,
                 hw_s: get_f64(j, "hw_s")?,
                 panics: get_usize(j, "panics")? as u64,
-                migrants: get_usize(j, "migrants")? as u64,
                 profile: j.get("profile").cloned(),
             },
             "bye" => WorkerResponse::Bye,
@@ -951,7 +751,6 @@ impl RemoteSession {
                 measurement,
                 panicked,
                 events,
-                migrants,
             } if rid == id as u64 && stamp == self.stamp => {
                 for event in events {
                     obs.emit_event(event);
@@ -961,7 +760,6 @@ impl RemoteSession {
                     id,
                     measurement,
                     panicked,
-                    migrants,
                     retired: false,
                 })
             }
@@ -1020,7 +818,6 @@ struct SlotTelemetry {
     train_s: Gauge,
     hw_s: Gauge,
     panics: Gauge,
-    migrants: Gauge,
     latency: HistogramHandle,
 }
 
@@ -1032,7 +829,6 @@ impl SlotTelemetry {
             train_s: obs.gauge_with("cluster.worker_train_s", labels),
             hw_s: obs.gauge_with("cluster.worker_hw_s", labels),
             panics: obs.gauge_with("cluster.worker_panics", labels),
-            migrants: obs.gauge_with("cluster.worker_migrants", labels),
             latency: obs.histogram_with("cluster.worker_eval_s", labels),
             profiler: obs.profiler(),
             addr,
@@ -1063,7 +859,6 @@ impl SlotTelemetry {
             train_s,
             hw_s,
             panics,
-            migrants,
             profile,
         } = resp
         else {
@@ -1073,9 +868,8 @@ impl SlotTelemetry {
         self.train_s.set(*train_s);
         self.hw_s.set(*hw_s);
         self.panics.set(*panics as f64);
-        self.migrants.set(*migrants as f64);
         if let Some(h) = &self.health {
-            h.record_stats(self.index, *jobs, *train_s, *hw_s, *panics, *migrants);
+            h.record_stats(self.index, *jobs, *train_s, *hw_s, *panics);
         }
         self.mark_seen();
         if let (Some(profiler), Some(p)) = (&self.profiler, profile) {
@@ -1197,7 +991,6 @@ impl RemoteTransport {
             id,
             measurement,
             panicked: false,
-            migrants: Vec::new(),
             retired,
         }
     }
@@ -1295,94 +1088,11 @@ enum SessionEnd {
     Killed,
 }
 
-/// Worker-island state: an elite pool plus seeded local evolution.
-struct Island {
-    space: SearchSpace,
-    objectives: ObjectiveSet,
-    rng: StdRng,
-    /// `(genome, measurement, fitness)` sorted best-first; keys
-    /// deduplicated.
-    elites: Vec<(CandidateGenome, Measurement, f64)>,
-    every: usize,
-    k: usize,
-    pool: usize,
-    jobs_since: usize,
-}
-
-impl Island {
-    fn new(setup: &SetupPayload, stamp: u64) -> Option<Self> {
-        if setup.island_every == 0 || setup.island_k == 0 {
-            return None;
-        }
-        Some(Self {
-            space: setup.space.clone(),
-            objectives: setup.objectives.clone(),
-            // Stamp-salted: a re-established session explores a fresh
-            // island trajectory instead of replaying the lost one.
-            rng: StdRng::seed_from_u64(setup.seed ^ stamp ^ 0x15_1A_4D),
-            elites: Vec::new(),
-            every: setup.island_every,
-            k: setup.island_k,
-            pool: (2 * setup.island_k).max(8),
-            jobs_since: 0,
-        })
-    }
-
-    fn observe(&mut self, genome: &CandidateGenome, m: &Measurement) {
-        let fitness = self.objectives.scalar(m);
-        if !fitness.is_finite() {
-            return;
-        }
-        let key = genome.cache_key();
-        if self.elites.iter().any(|(g, _, _)| g.cache_key() == key) {
-            return;
-        }
-        let at = self
-            .elites
-            .partition_point(|(_, _, f)| *f >= fitness);
-        self.elites.insert(at, (genome.clone(), m.clone(), fitness));
-        self.elites.truncate(self.pool);
-    }
-
-    /// Advances the island by one coordinator job; on a migration
-    /// boundary, breeds and evaluates `k` children and returns the
-    /// feasible ones.
-    fn step(&mut self, evaluator: &CodesignEvaluator) -> Vec<(CandidateGenome, Measurement)> {
-        self.jobs_since += 1;
-        if self.jobs_since < self.every || self.elites.is_empty() {
-            return Vec::new();
-        }
-        self.jobs_since = 0;
-        let mut migrants = Vec::new();
-        for _ in 0..self.k {
-            let child = self.breed();
-            let (m, _) = evaluate_guarded(evaluator, &child);
-            self.observe(&child, &m);
-            if m.hw.is_feasible() {
-                migrants.push((child, m));
-            }
-        }
-        migrants
-    }
-
-    fn breed(&mut self) -> CandidateGenome {
-        let a = &self.elites[self.rng.gen_range(0..self.elites.len())].0.clone();
-        let child = if self.elites.len() >= 2 && self.rng.gen_range(0.0..1.0) < 0.5 {
-            let b = &self.elites[self.rng.gen_range(0..self.elites.len())].0.clone();
-            self.space.crossover(a, b, &mut self.rng)
-        } else {
-            a.clone()
-        };
-        self.space.mutate(&child, &mut self.rng)
-    }
-}
-
 /// One established session's evaluation context.
 struct WorkerSession {
     evaluator: CodesignEvaluator,
     capture: Arc<CaptureSink>,
     stamp: u64,
-    island: Option<Island>,
     /// Session-local profiler (own tick domain, never attached to the
     /// capture `Obs`, so replayed events are unaffected); its subtree
     /// ships in `Stats` frames.
@@ -1393,7 +1103,6 @@ struct WorkerSession {
     train_s: f64,
     hw_s: f64,
     panics: u64,
-    migrants_sent: u64,
 }
 
 impl WorkerSession {
@@ -1408,7 +1117,6 @@ impl WorkerSession {
             setup.seed,
         )
         .with_obs(capture_obs);
-        let island = Island::new(setup, stamp);
         let profiler = setup
             .profile_clock
             .as_deref()
@@ -1418,7 +1126,6 @@ impl WorkerSession {
             evaluator,
             capture,
             stamp,
-            island,
             profiler,
             stats_every: setup.stats_every,
             jobs_since_stats: 0,
@@ -1426,7 +1133,6 @@ impl WorkerSession {
             train_s: 0.0,
             hw_s: 0.0,
             panics: 0,
-            migrants_sent: 0,
         }
     }
 
@@ -1437,34 +1143,19 @@ impl WorkerSession {
         let eval_span = self.profiler.as_ref().map(|p| p.enter("evaluate"));
         let (measurement, panicked) = evaluate_guarded(&self.evaluator, genome);
         drop(eval_span);
-        // The job's own events, drained before any island work so
-        // island-local evaluations never leak into the replay stream.
         let events = self.capture.take();
-        let migrants = match &mut self.island {
-            Some(island) => {
-                let island_span = self.profiler.as_ref().map(|p| p.enter("island"));
-                island.observe(genome, &measurement);
-                let migrants = island.step(&self.evaluator);
-                drop(island_span);
-                self.capture.take(); // discard island-local events
-                migrants
-            }
-            None => Vec::new(),
-        };
         drop(install);
         self.jobs += 1;
         self.jobs_since_stats += 1;
         self.train_s += measurement.train_time_s;
         self.hw_s += measurement.hw_time_s;
         self.panics += u64::from(panicked);
-        self.migrants_sent += migrants.len() as u64;
         WorkerResponse::Evaluated {
             id,
             stamp,
             measurement,
             panicked,
             events,
-            migrants,
         }
     }
 
@@ -1475,7 +1166,6 @@ impl WorkerSession {
             train_s: self.train_s,
             hw_s: self.hw_s,
             panics: self.panics,
-            migrants: self.migrants_sent,
             profile: self
                 .profiler
                 .as_ref()
@@ -1611,7 +1301,6 @@ impl WorkerServer {
                         train_rows = payload.train.len(),
                         test_rows = payload.test.len(),
                         device = payload.target.device_name(),
-                        island_every = payload.island_every,
                     );
                     session = Some(WorkerSession::from_setup(&payload, stamp));
                     conn.send(&WorkerResponse::Ready { stamp }.to_json())?;
@@ -1631,7 +1320,6 @@ impl WorkerServer {
                     if let WorkerResponse::Evaluated {
                         measurement,
                         panicked,
-                        migrants,
                         ..
                     } = &response
                     {
@@ -1641,9 +1329,6 @@ impl WorkerServer {
                         self.obs.gauge("worker.hw_wall_s").set(s.hw_s);
                         if *panicked {
                             self.obs.counter("worker.panics").inc();
-                        }
-                        if !migrants.is_empty() {
-                            self.obs.counter("worker.migrants").add(migrants.len() as u64);
                         }
                     }
                     conn.send(&response.to_json())?;
@@ -1700,17 +1385,13 @@ mod tests {
         SyntheticSpec::new("tiny", 24, 4, 3).with_seed(seed).generate()
     }
 
-    fn setup_payload(island_every: usize) -> SetupPayload {
+    fn setup_payload() -> SetupPayload {
         SetupPayload {
             seed: 7,
             train: tiny_dataset(1),
             test: tiny_dataset(2),
             trainer: TrainConfig::fast(),
             target: HwTarget::Fpga(FpgaDevice::arria10_gx1150(1)),
-            space: SearchSpace::fpga_default(),
-            objectives: ObjectiveSet::accuracy_only(),
-            island_every,
-            island_k: 2,
             profile_clock: None,
             stats_every: 0,
         }
@@ -1730,7 +1411,7 @@ mod tests {
 
     #[test]
     fn setup_round_trips() {
-        let mut setup = setup_payload(3);
+        let mut setup = setup_payload();
         setup.profile_clock = Some("ticks".to_string());
         setup.stats_every = 5;
         let wire = setup.to_json(0xDEAD_BEEF).unwrap();
@@ -1739,19 +1420,13 @@ mod tests {
         assert_eq!(stamp, 0xDEAD_BEEF);
         assert_eq!(back.seed, setup.seed);
         assert_eq!(back.trainer, setup.trainer);
-        assert_eq!(back.space, setup.space);
-        assert_eq!(back.island_every, 3);
         assert_eq!(back.profile_clock.as_deref(), Some("ticks"));
         assert_eq!(back.stats_every, 5);
         assert_eq!(back.target.device_name(), setup.target.device_name());
-        assert_eq!(
-            back.objectives.objectives().len(),
-            setup.objectives.objectives().len()
-        );
 
         // Telemetry fields are optional on the wire: a frame without
         // them (older coordinator) still parses with telemetry off.
-        let stripped = setup_payload(0).to_json(0x1).unwrap();
+        let stripped = setup_payload().to_json(0x1).unwrap();
         let text = stripped.to_string().replace(",\"stats_every\":0", "");
         assert!(!text.contains("stats_every"), "field stripped: {text}");
         let (legacy, _) = SetupPayload::from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -1793,7 +1468,6 @@ mod tests {
                 fields: vec![("stage", rt::obs::Value::Str("train".into()))],
                 elapsed_s: None,
             }],
-            migrants: vec![(genome, Measurement::infeasible(InfeasibleReason::DeviceFit))],
         };
         let wire = Json::parse(&resp.to_json().to_string()).unwrap();
         match WorkerResponse::from_json(&wire).unwrap() {
@@ -1802,13 +1476,11 @@ mod tests {
                 stamp,
                 panicked,
                 events,
-                migrants,
                 measurement,
             } => {
                 assert_eq!((id, stamp, panicked), (9, 1, true));
                 assert_eq!(events.len(), 1);
                 assert_eq!(events[0].name, "infeasible");
-                assert_eq!(migrants.len(), 1);
                 assert!(matches!(
                     measurement.failure_kind(),
                     Some(crate::measurement::FailureKind::Transient)
@@ -1829,7 +1501,6 @@ mod tests {
             train_s: 1.5,
             hw_s: 0.25,
             panics: 1,
-            migrants: 4,
             profile: Some(profile.to_json()),
         };
         let wire = Json::parse(&stats.to_json().to_string()).unwrap();
@@ -1839,10 +1510,9 @@ mod tests {
                 train_s,
                 hw_s,
                 panics,
-                migrants,
                 profile,
             } => {
-                assert_eq!((jobs, panics, migrants), (8, 1, 4));
+                assert_eq!((jobs, panics), (8, 1));
                 assert_eq!((train_s, hw_s), (1.5, 0.25));
                 let node = rt::prof::ProfileNode::from_json(&profile.expect("profile"))
                     .expect("profile parses");
@@ -1856,7 +1526,6 @@ mod tests {
             train_s: 0.0,
             hw_s: 0.0,
             panics: 0,
-            migrants: 0,
             profile: None,
         };
         let wire = Json::parse(&bare.to_json().to_string()).unwrap();
@@ -1907,41 +1576,6 @@ mod tests {
     }
 
     #[test]
-    fn island_migrates_on_cadence_and_dedups_elites() {
-        let setup = setup_payload(2);
-        let mut island = Island::new(&setup, 0x5).expect("islands on");
-        let evaluator = CodesignEvaluator::new(
-            setup.train.clone(),
-            setup.test.clone(),
-            setup.trainer,
-            setup.target.clone(),
-            setup.seed,
-        );
-        let mut rng = StdRng::seed_from_u64(9);
-        let g1 = setup.space.sample(&mut rng);
-        let m1 = evaluator.evaluate(&g1);
-        island.observe(&g1, &m1);
-        island.observe(&g1, &m1); // duplicate key must not double up
-        let observed = island.elites.len();
-        assert!(observed <= 1);
-
-        assert!(island.step(&evaluator).is_empty(), "below cadence");
-        let migrants = island.step(&evaluator);
-        if !island.elites.is_empty() {
-            assert!(migrants.len() <= setup.island_k);
-            for (_, m) in &migrants {
-                assert!(m.hw.is_feasible(), "only feasible migrants ship");
-            }
-        }
-        assert_eq!(island.jobs_since, 0, "cadence counter reset");
-    }
-
-    #[test]
-    fn islands_off_when_cadence_zero() {
-        assert!(Island::new(&setup_payload(0), 0x5).is_none());
-    }
-
-    #[test]
     fn worker_session_serves_evaluate_loopback() {
         let server = WorkerServer::bind(
             "127.0.0.1:0",
@@ -1955,7 +1589,7 @@ mod tests {
         let mut conn = Conn::connect(&addr, Duration::from_secs(10), rt::net::DEFAULT_MAX_FRAME)
             .unwrap();
         conn.handshake_client(COORDINATOR_ROLE, Some(WORKER_ROLE)).unwrap();
-        let setup = setup_payload(0);
+        let setup = setup_payload();
         let stamp = 0x77;
         conn.send(
             &CoordinatorRequest::Setup(Box::new(setup.clone()), stamp)
@@ -1968,7 +1602,7 @@ mod tests {
             other => panic!("expected ready, got {other:?}"),
         }
 
-        let genome = setup.space.sample(&mut StdRng::seed_from_u64(1));
+        let genome = SearchSpace::fpga_default().sample(&mut StdRng::seed_from_u64(1));
         conn.send(
             &CoordinatorRequest::Evaluate {
                 id: 0,

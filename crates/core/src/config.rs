@@ -15,8 +15,8 @@
 //! max_neurons = 512
 //!
 //! [hardware]
-//! target = fpga          ; fpga | gpu
-//! device = arria10       ; arria10 | stratix10 | m5000 | titanx | radeonvii
+//! target = fpga          ; fpga | gpu | cpu
+//! device = arria10       ; arria10 | stratix10 | m5000 | titanx | radeonvii | xeon | desktop
 //! ddr_banks = 1
 //!
 //! [optimization]
@@ -28,7 +28,9 @@
 //! ```
 //!
 //! Unspecified keys fall back to defaults, so the minimal configuration
-//! is an empty file.
+//! is an empty file. A key the three sections above do not define is an
+//! error ([`ConfigError::UnknownKey`]), so a typo or a retired key never
+//! vanishes silently. Other sections are ignored.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -73,6 +75,13 @@ pub enum ConfigError {
     },
     /// An unknown device name.
     UnknownDevice(String),
+    /// A key its section does not define.
+    UnknownKey {
+        /// The key.
+        key: String,
+        /// 1-based line number.
+        line: usize,
+    },
     /// Objectives and weights lists have different lengths.
     ObjectiveWeightMismatch {
         /// Number of objectives listed.
@@ -105,6 +114,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "unknown device {d:?} (expected arria10, stratix10, m5000, titanx, radeonvii, xeon, or desktop)"
             ),
+            ConfigError::UnknownKey { key, line } => {
+                write!(f, "line {line}: unknown key {key:?}")
+            }
             ConfigError::ObjectiveWeightMismatch { objectives, weights } => {
                 write!(f, "{objectives} objectives but {weights} weights")
             }
@@ -195,6 +207,39 @@ impl Default for FlowConfig {
     }
 }
 
+/// Every key each section defines; [`FlowConfig::from_ini`] rejects
+/// any other key in these sections.
+const KNOWN_KEYS: [(&str, &[&str]); 3] = [
+    (
+        "nna",
+        &["min_layers", "max_layers", "min_neurons", "max_neurons"],
+    ),
+    ("hardware", &["target", "device", "ddr_banks"]),
+    (
+        "optimization",
+        &[
+            "population",
+            "evaluations",
+            "tournament",
+            "crossover_rate",
+            "seed",
+            "threads",
+            "selection",
+            "eval_timeout_s",
+            "max_retries",
+            "epoch_size",
+            "stall_window",
+            "stall_epsilon",
+            "retry_backoff_ms",
+            "epochs",
+            "batch_size",
+            "learning_rate",
+            "objectives",
+            "weights",
+        ],
+    ),
+];
+
 fn get_parse<T: std::str::FromStr>(
     section: &SpannedSection,
     key: &str,
@@ -215,10 +260,23 @@ impl FlowConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] on syntax errors, unparseable values,
-    /// unknown devices, or mismatched objective/weight lists.
+    /// Returns [`ConfigError`] on syntax errors, unknown keys,
+    /// unparseable values, unknown devices, or mismatched
+    /// objective/weight lists.
     pub fn from_ini(text: &str) -> Result<Self, ConfigError> {
         let ini = parse_ini_spanned(text)?;
+        let unknown = KNOWN_KEYS.iter().flat_map(|(section, known)| {
+            ini.get(*section)
+                .into_iter()
+                .flatten()
+                .filter(|(key, _)| !known.contains(&key.as_str()))
+        });
+        if let Some((key, (_, line))) = unknown.min_by_key(|(_, (_, line))| *line) {
+            return Err(ConfigError::UnknownKey {
+                key: key.clone(),
+                line: *line,
+            });
+        }
         let empty = SpannedSection::new();
         let nna = ini.get("nna").unwrap_or(&empty);
         let hw = ini.get("hardware").unwrap_or(&empty);
@@ -347,7 +405,6 @@ impl FlowConfig {
         let mut trainer = TrainConfig::fast();
         trainer.epochs = get_parse(opt, "epochs", trainer.epochs)?;
         trainer.batch_size = get_parse(opt, "batch_size", trainer.batch_size)?;
-        trainer.gemm_threads = get_parse(opt, "gemm_threads", trainer.gemm_threads)?;
         if let Some((lr, line)) = opt.get("learning_rate") {
             let lr: f32 = lr.parse().map_err(|_| ConfigError::BadValue {
                 key: "learning_rate".to_string(),
@@ -454,7 +511,6 @@ population = 9
 seed = 123
 threads = 2
 epochs = 10
-gemm_threads = 4
 ";
         let c = FlowConfig::from_ini(text).unwrap();
         assert_eq!(c.space.max_layers, 2);
@@ -470,7 +526,6 @@ gemm_threads = 4
         assert_eq!(c.evolution.population, 9);
         assert_eq!(c.evolution.seed, 123);
         assert_eq!(c.trainer.epochs, 10);
-        assert_eq!(c.trainer.gemm_threads, 4);
         assert_eq!(c.objectives.len(), 2);
         assert_eq!(c.objectives[1].name, "log_throughput");
         assert!((c.objectives[1].weight - 0.08).abs() < 1e-12);
@@ -550,6 +605,19 @@ gemm_threads = 4
             }
         );
         assert!(err.to_string().contains("expected fpga, gpu, or cpu"));
+    }
+
+    #[test]
+    fn unknown_key_is_error_with_its_line() {
+        let err = FlowConfig::from_ini("[optimization]\nseed = 1\ngemm_threads = 4\n").unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::UnknownKey {
+                key: "gemm_threads".to_string(),
+                line: 3,
+            }
+        );
+        assert_eq!(err.to_string(), "line 3: unknown key \"gemm_threads\"");
     }
 
     #[test]

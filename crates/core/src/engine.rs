@@ -292,7 +292,6 @@ struct Instruments {
     retries: Counter,
     timeouts: Counter,
     respawns: Counter,
-    migrants: Counter,
     eval_time: HistogramHandle,
     epoch_gauges: Vec<Gauge>,
     /// Per-epoch hypervolume, so the convergence curve's distribution
@@ -310,7 +309,6 @@ impl Instruments {
             retries: obs.counter("engine.retries"),
             timeouts: obs.counter("engine.timeouts"),
             respawns: obs.counter("engine.respawns"),
-            migrants: obs.counter("engine.migrants"),
             eval_time: obs.histogram("engine.eval_time_s"),
             epoch_gauges: EPOCH_GAUGES.iter().map(|(name, _)| obs.gauge(name)).collect(),
             hypervolume_hist: obs.histogram("search.epoch_hypervolume"),
@@ -345,8 +343,8 @@ impl Instruments {
 type SlotJob = (usize, CandidateGenome);
 
 /// A slot's report on one job. Everything the master must observe
-/// from its slots — verdicts, migrants, a slot retiring — arrives as
-/// one of these on the one result channel.
+/// from its slots — verdicts and a slot retiring — arrives as one of
+/// these on the one result channel.
 pub(crate) struct Report {
     /// Supervisor index of the reporting slot. Remote slots are spawned
     /// first, so a remote slot's index is its worker index.
@@ -356,9 +354,6 @@ pub(crate) struct Report {
     pub(crate) measurement: Measurement,
     /// The evaluation panicked (the slot emits the panic warning).
     pub(crate) panicked: bool,
-    /// Island elites that came back with the job, folded after its
-    /// verdict.
-    pub(crate) migrants: Vec<(CandidateGenome, Measurement)>,
     /// The transport is gone for good (a lost remote worker): the slot
     /// exits after this report, and the master routes nothing more to
     /// it.
@@ -383,7 +378,6 @@ impl Transport {
                     id,
                     measurement,
                     panicked,
-                    migrants: Vec::new(),
                     retired: false,
                 }
             }
@@ -737,9 +731,6 @@ impl Engine {
                 self.spawn_local_slots(&mut supervisor, &routes, &res_tx);
             }
             master.on_result(report.id, report.measurement);
-            for (genome, measurement) in report.migrants {
-                master.fold_migrant(report.slot, genome, measurement);
-            }
         }
         // Idle slots drain and exit.
         drop(routes);
@@ -1331,51 +1322,6 @@ impl<'e> Master<'e> {
             .is_some_and(|policy| self.trace.len() % policy.every == 0)
         {
             self.save_checkpoint();
-        }
-    }
-
-    /// Folds an island migrant from remote slot `slot` into the
-    /// population. Deliberately outside the trace/budget/rng streams:
-    /// migrants spend worker-side compute only, replace the current
-    /// worst member deterministically, and seed the dedup cache so the
-    /// coordinator never re-evaluates one.
-    fn fold_migrant(&mut self, slot: usize, genome: CandidateGenome, measurement: Measurement) {
-        let engine = self.engine;
-        let key = genome.cache_key();
-        if self.cache.contains_key(&key) {
-            return;
-        }
-        self.cache.insert(key, measurement.clone());
-        let fitness = engine.objectives.scalar(&measurement);
-        self.metrics.migrants.inc();
-        rt::info!(
-            engine.obs,
-            "migration",
-            slot = slot,
-            key = format!("{key:016x}"),
-            fitness = fitness,
-            accuracy = measurement.accuracy,
-        );
-        if !fitness.is_finite() {
-            return;
-        }
-        let eval = Evaluated {
-            genome,
-            measurement,
-            fitness,
-        };
-        let population = &mut self.population;
-        if population.len() < engine.config.population {
-            population.push(eval);
-        } else if let Some(worst) = (0..population.len()).min_by(|&a, &b| {
-            population[a]
-                .fitness
-                .partial_cmp(&population[b].fitness)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        }) {
-            if population[worst].fitness < eval.fitness {
-                population[worst] = eval;
-            }
         }
     }
 

@@ -32,8 +32,8 @@
 //!   so an interrupted search resumes byte-identically.
 //! * [`cluster`] — distributed coordinator/worker evaluation over TCP
 //!   (`rt::net` framed messages): a worker server that evaluates
-//!   genomes shipped with a full setup payload, stale-result fencing by
-//!   session stamp, and optional per-worker island subpopulations.
+//!   genomes shipped with a full setup payload, and stale-result
+//!   fencing by session stamp.
 //! * [`faults`] — a deterministic fault-injecting evaluator wrapper for
 //!   exercising the engine's retry/timeout/respawn machinery in tests.
 //! * [`analytics`] — the search observatory: per-epoch population

@@ -477,10 +477,6 @@ impl Search {
                     test: test.clone(),
                     trainer: self.trainer,
                     target: self.target.clone(),
-                    space: space.clone(),
-                    objectives: self.objectives.clone(),
-                    island_every: o.island_every,
-                    island_k: o.island_k,
                     // Workers profile each evaluation under the same
                     // clock the coordinator's profiler uses, so their
                     // subtrees graft into one coherent master tree.

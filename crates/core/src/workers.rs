@@ -77,8 +77,8 @@ pub trait Evaluator: Send + Sync {
 /// `eval_time_s` is the wall clock the failed attempt consumed (Table
 /// III's totals must include it). The flag reports the panic.
 ///
-/// The one guarded evaluation shared by the engine's local slots, the
-/// cluster worker's sessions and its islands.
+/// The one guarded evaluation shared by the engine's local slots and
+/// the cluster worker's sessions.
 pub(crate) fn evaluate_guarded(
     evaluator: &dyn Evaluator,
     genome: &CandidateGenome,

@@ -87,13 +87,6 @@ pub struct TrainConfig {
     /// weight before this step, just before the momentum/Adam update
     /// of that element. `0.0` disables regularization.
     pub weight_decay: f32,
-    /// GEMM lane count applied via [`ecad_tensor::gemm::set_threads`]
-    /// before training. `0` (the default) leaves the process-wide
-    /// setting untouched. By the kernels' determinism contract the
-    /// trained weights are bit-identical at any value, so this is a
-    /// pure throughput knob — safe on cluster workers with any core
-    /// count.
-    pub gemm_threads: usize,
 }
 
 impl TrainConfig {
@@ -108,7 +101,6 @@ impl TrainConfig {
             patience: 5,
             min_delta: 1e-4,
             weight_decay: 1e-4,
-            gemm_threads: 0,
         }
     }
 
@@ -122,7 +114,6 @@ impl TrainConfig {
             patience: 12,
             min_delta: 1e-5,
             weight_decay: 1e-4,
-            gemm_threads: 0,
         }
     }
 }
@@ -205,10 +196,6 @@ impl Trainer {
                 expected: topology.n_classes(),
                 found: train.n_classes(),
             });
-        }
-
-        if self.config.gemm_threads > 0 {
-            ecad_tensor::gemm::set_threads(self.config.gemm_threads);
         }
 
         let mut net = Mlp::from_topology(topology, rng);

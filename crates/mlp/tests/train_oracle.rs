@@ -380,7 +380,6 @@ fn trainer_mismatch(
         patience: 0,
         min_delta: 0.0,
         weight_decay,
-        gemm_threads: 0,
     };
     let (net, report) = Trainer::new(config)
         .fit_network(&topo, &data, &data, &mut StdRng::seed_from_u64(5))

@@ -40,7 +40,6 @@ fn config(optimizer: OptimizerKind, weight_decay: f32, epochs: usize) -> TrainCo
         patience: 0,
         min_delta: 0.0,
         weight_decay,
-        gemm_threads: 0,
     }
 }
 

@@ -37,11 +37,6 @@
 //!   interleaving explorer (a loom-lite model checker): virtual
 //!   threads, virtual time, and replayable failure schedules for the
 //!   engine's concurrency protocols.
-//! * [`pool`] — a scoped worker pool for data-parallel kernels: a
-//!   fixed lane count, deterministic task→lane assignment, a
-//!   model-checkable latch join, and panic propagation that never
-//!   returns before every lane is quiescent. The GEMM row-panel
-//!   parallelism in `ecad-tensor` runs on it.
 //! * [`net`] — length-prefixed framed [`json`] messaging over TCP with
 //!   bounded frame sizes, read/write deadlines, a versioned hello
 //!   handshake, and transient-vs-permanent error classification: the
@@ -59,7 +54,6 @@ pub mod http;
 pub mod json;
 pub mod net;
 pub mod obs;
-pub mod pool;
 pub mod prof;
 pub mod rand;
 pub mod sched;

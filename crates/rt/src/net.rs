@@ -33,7 +33,7 @@ use crate::json::{self, Json};
 
 /// Wire protocol version carried in every hello frame. Bump on any
 /// incompatible message-shape change.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Default ceiling on a single frame's payload, generous enough for a
 /// dataset-bearing setup message but far below anything that could

@@ -138,19 +138,28 @@ rt::prop! {
     }
 }
 
+/// A peer built before the current version (1) and one from the
+/// future both fail the hello as a version mismatch, never as a field
+/// error further into the session.
 #[test]
 fn version_mismatch_is_permanent_and_descriptive() {
-    let skew = Json::object()
-        .insert("net", "hello")
-        .insert("version", PROTOCOL_VERSION + 7)
-        .insert("role", "worker");
-    let err = check_hello(&skew, None).unwrap_err();
-    assert!(!err.is_transient(), "version skew must not be retried");
-    let msg = err.to_string();
-    assert!(
-        msg.contains(&format!("v{PROTOCOL_VERSION}")) && msg.contains("mismatch"),
-        "operator-facing message should name both versions: {msg}"
-    );
+    for theirs in [1, PROTOCOL_VERSION + 7] {
+        let skew = Json::object()
+            .insert("net", "hello")
+            .insert("version", theirs)
+            .insert("role", "worker");
+        let err = check_hello(&skew, None).unwrap_err();
+        assert!(
+            matches!(err, NetError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: t } if t == theirs),
+            "v{theirs} peer: {err:?}"
+        );
+        assert!(!err.is_transient(), "version skew must not be retried");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("v{PROTOCOL_VERSION}")) && msg.contains("mismatch"),
+            "operator-facing message should name both versions: {msg}"
+        );
+    }
 }
 
 #[test]

@@ -48,16 +48,14 @@
 //!
 //! Every output element is produced by **one** f32 accumulator updated
 //! as `acc = acc + A[i,p] * B[p,j]` for `p = 0, 1, …, k-1`, in that
-//! order — exactly the operation sequence of [`matmul_naive`]. Because
-//! parallelism only partitions *rows of C* across lanes (never the `k`
-//! reduction), lane assignment in [`rt::pool`] is a pure function of
-//! the panel index, and the tile shape only decides *which* elements
-//! are in flight together, results are bit-identical:
+//! order — exactly the operation sequence of [`matmul_naive`]. Every
+//! call computes its panels on the caller's thread, and the tile shape
+//! only decides *which* elements are in flight together, so results are
+//! bit-identical:
 //!
 //! * to [`matmul_naive`] (and the transposed-naive references for the
 //!   fused variants),
 //! * across repeated runs in one process,
-//! * across any thread count (1 vs N), on hosts with any core count,
 //! * across the portable and AVX2 builds.
 //!
 //! The one exception is the sign and payload of a NaN. Rust leaves them
@@ -71,8 +69,7 @@
 //! caught; both run every check under each build.
 
 use crate::Matrix;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Microkernel tile width: columns of `C` carried per register tile,
@@ -99,36 +96,20 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Tile height: rows of `C` this build carries per register tile.
-    fn mr(self) -> usize {
+    /// Computes every row panel of `C` into `out` with this build.
+    fn compute_panels(self, job: &Job<'_>, out: &mut [f32]) {
         match self {
-            Kernel::Portable => MR_PORTABLE,
-            Kernel::Avx2 => MR_AVX2,
-        }
-    }
-
-    /// Computes a range of row panels with this build.
-    fn compute_panels(self, panels: Range<usize>, job: &Job<'_>) {
-        match self {
-            Kernel::Portable => compute_panels::<MR_PORTABLE>(panels, job),
+            Kernel::Portable => compute_panels::<MR_PORTABLE>(job, out),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the only caller, `gemm_driver`, passes the value
             // of `kernel()`, which is `Avx2` only after
             // `is_x86_feature_detected!("avx2")` reported AVX2.
-            Kernel::Avx2 => unsafe { compute_panels_avx2(panels, job) },
+            Kernel::Avx2 => unsafe { compute_panels_avx2(job, out) },
             #[cfg(not(target_arch = "x86_64"))]
             Kernel::Avx2 => unreachable!("AVX2 build selected off x86-64"),
         }
     }
 }
-
-/// Calls below this many multiply-accumulates (`m*k*n`) always run
-/// single-threaded; pool dispatch costs more than it saves there.
-const PAR_MIN_MACS: usize = 128 * 1024;
-
-/// Requested lane count; 0 means "unset", which falls back to the
-/// `ECAD_GEMM_THREADS` environment variable and then to 1.
-static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Test-only sabotage switch; see [`_set_broken_accumulation_order`].
 static BROKEN_ORDER: AtomicBool = AtomicBool::new(false);
@@ -136,31 +117,16 @@ static BROKEN_ORDER: AtomicBool = AtomicBool::new(false);
 /// Test-only build override; see [`_force_portable_kernel`].
 static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
 
-/// Sets the process-wide GEMM lane count (clamped to at least 1).
-///
-/// 1 (the default) keeps every call on the caller's thread. Larger
-/// values let calls above the parallel threshold split row panels
-/// across the shared [`rt::pool`]; by the determinism contract the
-/// output bits do not depend on this setting.
-pub fn set_threads(n: usize) {
-    THREADS.store(n.max(1), Ordering::SeqCst);
-}
+/// Accepts and ignores a lane count: every call runs on the caller's
+/// thread. Kept only because the `searchbench` harness calls it.
+#[doc(hidden)]
+pub fn set_threads(_n: usize) {}
 
-/// The effective GEMM lane count: the last [`set_threads`] value, else
-/// `ECAD_GEMM_THREADS`, else 1.
+/// Always 1: every call runs on the caller's thread. Kept only because
+/// the `searchbench` harness reports it.
+#[doc(hidden)]
 pub fn threads() -> usize {
-    let t = THREADS.load(Ordering::Relaxed);
-    if t != 0 {
-        return t;
-    }
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("ECAD_GEMM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
+    1
 }
 
 /// Test hook: when enabled, the microkernel walks the `k` reduction in
@@ -324,15 +290,6 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     gemm_driver(a, false, b, true, None)
 }
 
-/// Raw output pointer shared across lanes. Sound because each lane
-/// writes a disjoint range of row panels (lane assignment is static)
-/// and `gemm_driver` does not touch the matrix again until the pool
-/// barrier has passed.
-#[derive(Clone, Copy)]
-struct SharedOut(*mut f32);
-unsafe impl Send for SharedOut {}
-unsafe impl Sync for SharedOut {}
-
 /// The one driver behind all four public kernels. `a_trans` /
 /// `b_trans` select which operand layout gets packed; dimension
 /// agreement is asserted by the callers.
@@ -365,8 +322,6 @@ fn gemm_driver(
         return c;
     }
 
-    let kernel = kernel();
-    let mp = m.div_ceil(kernel.mr());
     let np = n.div_ceil(NR);
 
     // Pack every column panel of B once per call; freshly zeroed, so a
@@ -376,59 +331,30 @@ fn gemm_driver(
         pack_b(b, b_trans, k, n, jp, &mut bpack[jp * k * NR..(jp + 1) * k * NR]);
     }
 
-    let lanes = lane_count(m, k, n, mp);
     let job = Job {
         a,
         a_trans,
         bpack: &bpack,
         bias,
-        out: SharedOut(c.as_mut_slice().as_mut_ptr()),
         m,
         k,
         n,
         reverse: BROKEN_ORDER.load(Ordering::Relaxed),
     };
-    if lanes <= 1 {
-        kernel.compute_panels(0..mp, &job);
-    } else {
-        // Lane L owns the contiguous panel range [L*mp/lanes,
-        // (L+1)*mp/lanes): which lane computes a panel never affects
-        // what the panel computes, only where.
-        rt::pool::global().run(lanes, |lane| {
-            let lo = lane * mp / lanes;
-            let hi = (lane + 1) * mp / lanes;
-            kernel.compute_panels(lo..hi, &job);
-        });
-    }
+    kernel().compute_panels(&job, c.as_mut_slice());
     c
 }
 
-/// Everything a lane needs to compute its row panels of one call.
+/// The operands and shape of one call, shared by every row panel.
 struct Job<'a> {
     a: &'a Matrix,
     a_trans: bool,
     bpack: &'a [f32],
     bias: Option<&'a [f32]>,
-    out: SharedOut,
     m: usize,
     k: usize,
     n: usize,
     reverse: bool,
-}
-
-/// How many pool lanes a `(m, k, n)` call may use: the configured
-/// [`threads`], capped by the row-panel count and the pool width, and
-/// forced to 1 below the parallel threshold.
-fn lane_count(m: usize, k: usize, n: usize, mp: usize) -> usize {
-    let requested = threads();
-    if requested <= 1 || mp < 2 {
-        return 1;
-    }
-    let macs = m.saturating_mul(k).saturating_mul(n);
-    if macs < PAR_MIN_MACS {
-        return 1;
-    }
-    requested.min(mp).min(rt::pool::global().threads())
 }
 
 /// The AVX2 build: [`compute_panels`] and everything it inlines,
@@ -436,22 +362,21 @@ fn lane_count(m: usize, k: usize, n: usize, mp: usize) -> usize {
 /// check that the CPU supports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn compute_panels_avx2(panels: Range<usize>, job: &Job<'_>) {
-    compute_panels::<MR_AVX2>(panels, job)
+fn compute_panels_avx2(job: &Job<'_>, out: &mut [f32]) {
+    compute_panels::<MR_AVX2>(job, out)
 }
 
-/// Computes the given range of `MR`-row panels against every column
-/// panel. Each lane runs this once over its own disjoint range.
-/// `inline(always)` down to the microkernel, so each build's caller
-/// compiles the whole loop nest with its own target features.
+/// Computes every `MR`-row panel against every column panel into the
+/// row-major `m×n` output `out`. `inline(always)` down to the
+/// microkernel, so each build's caller compiles the whole loop nest
+/// with its own target features.
 #[inline(always)]
-fn compute_panels<const MR: usize>(panels: Range<usize>, job: &Job<'_>) {
+fn compute_panels<const MR: usize>(job: &Job<'_>, out: &mut [f32]) {
     let &Job {
         a,
         a_trans,
         bpack,
         bias,
-        out,
         m,
         k,
         n,
@@ -460,8 +385,7 @@ fn compute_panels<const MR: usize>(panels: Range<usize>, job: &Job<'_>) {
     let np = n.div_ceil(NR);
     let mut apack = vec![0.0f32; k * MR];
     let mut acc = [[0.0f32; NR]; MR];
-    for ip in panels {
-        let i0 = ip * MR;
+    for i0 in (0..m).step_by(MR) {
         let h = MR.min(m - i0);
         pack_a::<MR>(a, a_trans, k, i0, h, &mut apack);
         for jp in 0..np {
@@ -469,19 +393,16 @@ fn compute_panels<const MR: usize>(panels: Range<usize>, job: &Job<'_>) {
             let w = NR.min(n - j0);
             let bp = &bpack[jp * k * NR..(jp + 1) * k * NR];
             microkernel(&apack, bp, &mut acc, reverse);
-            for i in 0..h {
-                // SAFETY: rows i0..i0+h belong exclusively to this
-                // panel, and panel ranges are disjoint across lanes.
-                let row = unsafe {
-                    std::slice::from_raw_parts_mut(out.0.add((i0 + i) * n + j0), w)
-                };
+            let rows = out[i0 * n..(i0 + h) * n].chunks_exact_mut(n);
+            for (row, tile_row) in rows.zip(&acc) {
+                let row = &mut row[j0..j0 + w];
                 match bias {
                     Some(bv) => {
                         for j in 0..w {
-                            row[j] = acc[i][j] + bv[j0 + j];
+                            row[j] = tile_row[j] + bv[j0 + j];
                         }
                     }
-                    None => row.copy_from_slice(&acc[i][..w]),
+                    None => row.copy_from_slice(&tile_row[..w]),
                 }
             }
         }

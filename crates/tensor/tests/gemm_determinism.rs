@@ -2,14 +2,13 @@
 //!
 //! The contract under test (documented in `gemm`'s module docs): every
 //! output element is one f32 accumulator updated over `p` ascending, so
-//! results are bit-identical to the strict naive oracle, across
-//! repeated in-process runs, and across *any* thread count — lanes
-//! partition rows of `C`, never the `k` reduction. A seeded
-//! broken-accumulation-order mutant proves the bitwise oracle has
-//! teeth, and an `rt::prop!` fuzz sweeps random shapes (including
-//! 0-dims) and special values (NaN/±inf must propagate like the
-//! oracle, never panic). Every test runs under both kernel builds: the
-//! one this host selects and the forced portable build.
+//! results are bit-identical to the strict naive oracle and across
+//! repeated in-process runs. A seeded broken-accumulation-order mutant
+//! proves the bitwise oracle has teeth, and an `rt::prop!` fuzz sweeps
+//! random shapes (including 0-dims) and special values (NaN/±inf must
+//! propagate like the oracle, never panic). Every test runs under both
+//! kernel builds: the one this host selects and the forced portable
+//! build.
 
 use ecad_tensor::{gemm, init, Matrix};
 use rt::rand::rngs::StdRng;
@@ -17,9 +16,9 @@ use rt::rand::{Rng, SeedableRng};
 use rt::prop_assert;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// `gemm::set_threads`, the mutant switch and the build override are
-/// process globals; every test in this binary serializes on this lock
-/// so the harness' default test parallelism cannot interleave settings.
+/// The mutant switch and the build override are process globals; every
+/// test in this binary serializes on this lock so the harness' default
+/// test parallelism cannot interleave settings.
 /// Acquiring it drops any build override a panicked test left behind.
 fn kernel_globals() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -42,13 +41,9 @@ fn for_each_build(mut check: impl FnMut(&str)) {
     gemm::_force_portable_kernel(false);
 }
 
-/// Same small grid as `gemm_oracle.rs`.
-const DIMS: [usize; 8] = [0, 1, 2, 3, 5, 7, 8, 9];
-
-/// Boundary shapes that actually take the parallel path (the small grid
-/// stays under the parallel threshold, where bit-identity across thread
-/// counts is trivially true). The 15/16/17-row shapes straddle the
-/// 8-row tile of the AVX2 build and split into two or three panels.
+/// Boundary shapes around the 64/128 sizes. The 15/16/17-row shapes
+/// straddle the 8-row tile of the AVX2 build and split into two or
+/// three panels.
 const BOUNDARY: [(usize, usize, usize); 11] = [
     (63, 64, 65),
     (64, 65, 63),
@@ -98,57 +93,10 @@ fn assert_bits(ctx: &str, got: &Matrix, want: &Matrix) {
     }
 }
 
-/// `matmul` over every oracle shape (full small grid + boundary) must
-/// be byte-identical at 1, 2, and 7 threads. All four kernels are
-/// additionally pinned on the boundary shapes, which exercise the
-/// multi-lane row-panel split for real.
-#[test]
-fn bit_identity_across_thread_counts() {
-    let _g = kernel_globals();
-    let shapes: Vec<(usize, usize, usize)> = DIMS
-        .iter()
-        .flat_map(|&m| DIMS.iter().flat_map(move |&k| DIMS.iter().map(move |&n| (m, k, n))))
-        .chain(BOUNDARY.iter().copied())
-        .collect();
-    for_each_build(|build| {
-        for &(m, k, n) in &shapes {
-            gemm::set_threads(1);
-            let (a, b, _, _, _) = seeded(m, k, n);
-            let single = gemm::matmul(&a, &b);
-            for t in [2, 7] {
-                gemm::set_threads(t);
-                let multi = gemm::matmul(&a, &b);
-                assert_bits(
-                    &format!("{build} matmul m={m} k={k} n={n} threads={t}"),
-                    &multi,
-                    &single,
-                );
-            }
-        }
-        for &(m, k, n) in &BOUNDARY {
-            gemm::set_threads(1);
-            let single = all_kernels(m, k, n);
-            for t in [2, 7] {
-                gemm::set_threads(t);
-                for (got, want) in all_kernels(m, k, n).iter().zip(&single) {
-                    assert_bits(
-                        &format!("{build} {} m={m} k={k} n={n} threads={t}", got.0),
-                        &got.1,
-                        &want.1,
-                    );
-                }
-            }
-        }
-    });
-    gemm::set_threads(1);
-}
-
-/// Two runs in one process, at a multi-lane thread count, are
-/// bit-identical for every kernel.
+/// Two runs in one process are bit-identical for every kernel.
 #[test]
 fn bit_identity_across_repeated_runs() {
     let _g = kernel_globals();
-    gemm::set_threads(7);
     for_each_build(|build| {
         for &(m, k, n) in &BOUNDARY {
             for (first, second) in all_kernels(m, k, n).iter().zip(all_kernels(m, k, n)) {
@@ -160,7 +108,6 @@ fn bit_identity_across_repeated_runs() {
             }
         }
     });
-    gemm::set_threads(1);
 }
 
 /// The seeded broken-accumulation-order mutant (reversed `k` walk —
@@ -171,7 +118,6 @@ fn bit_identity_across_repeated_runs() {
 #[test]
 fn broken_accumulation_order_mutant_is_caught() {
     let _g = kernel_globals();
-    gemm::set_threads(1);
     let mut rng = StdRng::seed_from_u64(99);
     let a = init::uniform(&mut rng, 64, 64, 1.0);
     let b = init::uniform(&mut rng, 64, 64, 1.0);
@@ -220,7 +166,6 @@ rt::prop! {
         m in 0usize..10, k in 0usize..10, n in 0usize..10, seed in 0u64..100_000
     ) {
         let _g = kernel_globals();
-        gemm::set_threads(1);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut a = init::uniform(&mut rng, m, k, 1.0);
         let mut b = init::uniform(&mut rng, k, n, 1.0);
