@@ -6,7 +6,7 @@
 //! enough to measure on every push.
 
 use ecad_mlp::{Activation, Adam, Mlp, MlpTopology};
-use ecad_tensor::{gemm, init, ops, Matrix};
+use ecad_tensor::{gemm, init, math, ops, Matrix};
 use rt::bench::{black_box, BenchmarkId, Criterion};
 use rt::rand::rngs::StdRng;
 use rt::rand::SeedableRng;
@@ -18,7 +18,9 @@ pub fn register(c: &mut Criterion) {
     bench_gemm_mlp_shapes(c);
     bench_backprop_kernels(c);
     bench_softmax_and_loss(c);
+    bench_math(c);
     bench_mlp_train_step(c);
+    bench_tanh_forward(c);
     bench_adam_step(c);
     bench_matrix_ops(c);
 }
@@ -99,6 +101,27 @@ fn bench_softmax_and_loss(c: &mut Criterion) {
     });
 }
 
+/// The transcendental kernels on one hidden layer's pre-activations
+/// (batch 32 × width 128). Each iteration copies the input first, as
+/// the forward pass writes a fresh GEMM output.
+fn bench_math(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let z = init::uniform(&mut rng, 32, 128, 4.0);
+    for (id, kernel) in [
+        ("math/tanh_32x128", math::tanh as fn(&mut [f32])),
+        ("math/sigmoid_32x128", math::sigmoid),
+        ("math/exp_32x128", math::exp),
+    ] {
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                let mut out = black_box(&z).clone();
+                kernel(out.as_mut_slice());
+                out
+            })
+        });
+    }
+}
+
 fn bench_mlp_train_step(c: &mut Criterion) {
     let topo = MlpTopology::builder(561, 6)
         .hidden(128, Activation::Relu, true)
@@ -125,6 +148,22 @@ fn bench_mlp_train_step(c: &mut Criterion) {
             adam.step_with_decay(&mut train_net, &grads, 1e-4);
             loss
         })
+    });
+}
+
+/// A credit-g-shaped candidate with tanh hidden layers: the other
+/// `mlp/*` cases use ReLU only, so this is the one that sees the cost
+/// of the activation kernels.
+fn bench_tanh_forward(c: &mut Criterion) {
+    let topo = MlpTopology::builder(20, 2)
+        .hidden(128, Activation::Tanh, true)
+        .hidden(128, Activation::Tanh, true)
+        .build();
+    let mut rng = StdRng::seed_from_u64(8);
+    let net = Mlp::from_topology(&topo, &mut rng);
+    let x = init::uniform(&mut rng, 32, 20, 1.0);
+    c.bench_function("mlp/credit_forward_tanh_batch32", |b| {
+        b.iter(|| net.forward(black_box(&x)))
     });
 }
 

@@ -4,7 +4,12 @@
 //! mutates (§III-A: "number of layers, layer size, activation function,
 //! and bias"). The output layer always applies softmax, handled by the
 //! trainer, so `Activation` covers hidden layers only.
+//!
+//! `Sigmoid` and `Tanh` run on the libm-free kernels of
+//! [`ecad_tensor::math`], so trained bits do not depend on the host's
+//! libm or ISA.
 
+use ecad_tensor::math;
 
 /// A hidden-layer activation function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,14 +33,24 @@ impl Activation {
         Activation::Identity,
     ];
 
-    /// Applies the activation to a single value.
+    /// Applies the activation to a single value; the same bits as
+    /// [`Activation::apply_slice`] on a one-element slice.
     #[inline]
     pub fn apply(self, x: f32) -> f32 {
+        let mut v = [x];
+        self.apply_slice(&mut v);
+        v[0]
+    }
+
+    /// Applies the activation to every element of `xs`, in place.
+    ///
+    /// `Tanh` and `Sigmoid` map NaN to NaN; `Relu` maps it to 0.
+    pub fn apply_slice(self, xs: &mut [f32]) {
         match self {
-            Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
-            Activation::Identity => x,
+            Activation::Relu => xs.iter_mut().for_each(|x| *x = x.max(0.0)),
+            Activation::Sigmoid => math::sigmoid(xs),
+            Activation::Tanh => math::tanh(xs),
+            Activation::Identity => {}
         }
     }
 
@@ -120,6 +135,35 @@ mod tests {
                     "{act} at {x}: numeric {numeric} vs analytic {analytic}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn apply_slice_matches_scalar_apply_bitwise() {
+        let xs: Vec<f32> = (0..301)
+            .map(|i| (i as f32 - 150.0) * 0.173)
+            .chain([0.0, -0.0, 1e-30, -1e-40, 88.9, -104.5, f32::INFINITY])
+            .chain([f32::NEG_INFINITY, f32::NAN])
+            .collect();
+        for act in Activation::ALL {
+            let mut ys = xs.clone();
+            act.apply_slice(&mut ys);
+            for (x, y) in xs.iter().zip(&ys) {
+                assert_eq!(act.apply(*x).to_bits(), y.to_bits(), "{act} at {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn saturating_activations_propagate_nan() {
+        for act in [Activation::Tanh, Activation::Sigmoid] {
+            assert!(act.apply(f32::NAN).is_nan(), "{act}");
+            let mut v = [1.0, f32::NAN, -1.0];
+            act.apply_slice(&mut v);
+            assert!(
+                v[1].is_nan() && v[0].is_finite() && v[2].is_finite(),
+                "{act}"
+            );
         }
     }
 

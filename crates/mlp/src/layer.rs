@@ -90,8 +90,7 @@ impl DenseLayer {
             gemm::matmul(x, &self.weights)
         };
         let _prof = rt::prof_span!("activation");
-        let act = self.activation;
-        z.map_inplace(|v| act.apply(v));
+        self.activation.apply_slice(z.as_mut_slice());
         z
     }
 

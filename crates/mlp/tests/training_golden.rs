@@ -1,6 +1,6 @@
 //! Pins training numerics across versions of the crate.
 //!
-//! `golden/training_v1.txt` was written by an earlier build: for three
+//! `golden/training_v2.txt` was written by an earlier build: for three
 //! seeded topologies (saturating activations; no hidden bias; 784
 //! inputs) it holds the f32 bit patterns of every `TrainReport` number
 //! and an FNV-1a hash of the trained parameters' bits. The current
@@ -11,7 +11,7 @@
 //! so a host with AVX2 pins both.
 //!
 //! On a mismatch the test writes what it computed to
-//! `<target>/tmp/training_v1.<build>.actual` so the two files can be
+//! `<target>/tmp/training_v2.<build>.actual` so the two files can be
 //! diffed.
 
 use std::fmt::Write as _;
@@ -22,7 +22,7 @@ use ecad_tensor::gemm;
 use rt::rand::rngs::StdRng;
 use rt::rand::SeedableRng;
 
-const FIXTURE: &str = include_str!("golden/training_v1.txt");
+const FIXTURE: &str = include_str!("golden/training_v2.txt");
 
 struct Case {
     name: &'static str,
@@ -141,7 +141,7 @@ fn training_reproduces_the_recorded_golden_bit_for_bit() {
             continue;
         }
         let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-            .join(format!("training_v1.{build}.actual"));
+            .join(format!("training_v2.{build}.actual"));
         std::fs::write(&path, &actual).expect("write actual output");
         let first_diff = FIXTURE
             .lines()
@@ -150,7 +150,7 @@ fn training_reproduces_the_recorded_golden_bit_for_bit() {
             .map(|(want, got)| format!("\n  golden: {want}\n  actual: {got}"))
             .unwrap_or_else(|| "\n  (line counts differ)".to_string());
         panic!(
-            "{build} build: trained numerics differ from golden/training_v1.txt \
+            "{build} build: trained numerics differ from golden/training_v2.txt \
              (actual written to {}):{first_diff}",
             path.display()
         );

@@ -5,8 +5,9 @@
 //! The paper's MLP workloads reduce to general matrix multiplication
 //! (GEMM); production deployments call a vendor BLAS. This crate is the
 //! BLAS stand-in: a row-major [`Matrix`] type over `f32`, a cache-blocked
-//! GEMM kernel, and the small vector routines (bias broadcast, softmax,
-//! reductions) needed by the MLP trainer and the classical baselines.
+//! GEMM kernel, libm-free transcendental kernels ([`math`]), and the small
+//! vector routines (bias broadcast, softmax, reductions) needed by the
+//! MLP trainer and the classical baselines.
 //!
 //! Everything is deterministic given a seeded RNG, which the evolutionary
 //! engine relies on for reproducible searches.
@@ -29,6 +30,7 @@ mod matrix;
 
 pub mod gemm;
 pub mod init;
+pub mod math;
 pub mod ops;
 pub mod stats;
 

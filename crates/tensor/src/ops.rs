@@ -1,8 +1,9 @@
 //! Row-wise and vector operations used by the MLP trainer and baselines.
 
-use crate::Matrix;
+use crate::{math, Matrix};
 
-/// Row-wise softmax with the max-subtraction trick for numerical stability.
+/// Row-wise softmax with the max-subtraction trick for numerical stability,
+/// on [`math::exp`].
 ///
 /// Each row of the result sums to 1 (up to rounding) and contains only
 /// finite values even for large logits.
@@ -20,9 +21,12 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
     for r in 0..out.rows() {
         let row = out.row_mut(r);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
         for x in row.iter_mut() {
-            *x = (*x - max).exp();
+            *x -= max;
+        }
+        math::exp(row);
+        let mut sum = 0.0;
+        for x in row.iter() {
             sum += *x;
         }
         if sum > 0.0 {
@@ -82,7 +86,8 @@ pub fn col_stds(m: &Matrix) -> Vec<f32> {
 ///
 /// `probs` and `targets` must have identical shapes; `targets` rows are
 /// expected to be one-hot (or a probability distribution). Probabilities
-/// are clamped away from zero so the loss stays finite.
+/// are clamped away from zero so the loss stays finite; their logarithm
+/// is [`math::ln`] in f32, summed in f64.
 ///
 /// # Panics
 ///
@@ -93,11 +98,18 @@ pub fn cross_entropy(probs: &Matrix, targets: &Matrix) -> f32 {
         targets.shape(),
         "cross_entropy shape mismatch"
     );
-    let mut loss = 0.0f64;
+    let mut log_p = Vec::with_capacity(probs.rows());
+    let mut weights = Vec::with_capacity(probs.rows());
     for (p, t) in probs.as_slice().iter().zip(targets.as_slice()) {
         if *t > 0.0 {
-            loss -= (*t as f64) * (p.max(1e-12) as f64).ln();
+            log_p.push(p.max(1e-12));
+            weights.push(*t);
         }
+    }
+    math::ln(&mut log_p);
+    let mut loss = 0.0f64;
+    for (lp, t) in log_p.iter().zip(&weights) {
+        loss -= (*t as f64) * (*lp as f64);
     }
     (loss / probs.rows().max(1) as f64) as f32
 }
@@ -132,8 +144,18 @@ pub fn one_hot(labels: &[usize], classes: usize) -> Matrix {
 }
 
 /// Euclidean (L2) distance between two equal-length slices.
+///
+/// # Panics
+///
+/// Panics if the lengths differ, in every build profile.
 pub fn euclidean(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(
+        x.len(),
+        y.len(),
+        "euclidean: length mismatch ({} vs {})",
+        x.len(),
+        y.len()
+    );
     x.iter()
         .zip(y)
         .map(|(a, b)| (a - b) * (a - b))
@@ -236,6 +258,12 @@ mod tests {
     #[test]
     fn euclidean_matches_hand_calc() {
         assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "euclidean: length mismatch")]
+    fn euclidean_length_mismatch_panics_in_every_profile() {
+        let _ = euclidean(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]
